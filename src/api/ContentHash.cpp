@@ -75,10 +75,11 @@ CacheKey offchip::requestKey(const SimRequest &R) {
   }
 
   // Machine config — every result-affecting field, in declaration order.
-  // SimThreads, SimWindowBatch, SimReplicaEpochs, Trace, CheckInvariants
-  // and CollectPhaseTimes are excluded on purpose: they never change a
-  // simulated result (see MachineConfig's field comments), so requests
-  // differing only in them share a cache key.
+  // Trace, CheckInvariants and CollectPhaseTimes are excluded on purpose:
+  // they never change a simulated result (see MachineConfig's field
+  // comments), so requests differing only in them share a cache key. The
+  // legacy wire keys sim_threads, sim_window_batch and sim_replica_epochs
+  // parse to nothing, so they cannot reach the key either.
   const MachineConfig &C = R.Config;
   H.u64(0x20, C.MeshX);
   H.u64(0x21, C.MeshY);

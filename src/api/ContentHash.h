@@ -8,10 +8,9 @@
 ///
 ///   - every result-affecting field is hashed, each behind a distinct field
 ///     tag (so field values can never alias across fields);
-///   - result-invariant execution knobs — SimThreads (bit-identical by the
-///     parallel engine's construction), tracing, invariant checking, phase
-///     timers, the client id — are deliberately NOT hashed, letting e.g. a
-///     traced or parallel-engine request reuse a cached serial result.
+///   - result-invariant execution knobs — tracing, invariant checking,
+///     phase timers, the client id — are deliberately NOT hashed, letting
+///     e.g. a traced request reuse a cached untraced result.
 ///
 /// The hash is two independently-seeded FNV-1a-64 streams over the same
 /// canonical bytes; 128 bits keeps accidental collisions out of reach of

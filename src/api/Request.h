@@ -62,9 +62,9 @@ struct SimRequest {
   WorkloadSpec Workload;
 
   /// The machine to optimize for / simulate on. Result-invariant knobs
-  /// (SimThreads, Trace, CheckInvariants, CollectPhaseTimes) are excluded
-  /// from the content hash, so e.g. a --sim-threads 8 request hits the
-  /// cache entry a serial request populated.
+  /// (Trace, CheckInvariants, CollectPhaseTimes) are excluded from the
+  /// content hash, so e.g. a traced request hits the cache entry an
+  /// untraced request populated.
   MachineConfig Config = MachineConfig::scaledDefault();
 
   /// 1 selects the M1 mapping (one MC per cluster, Figure 8a); >1 the

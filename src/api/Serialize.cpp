@@ -326,9 +326,12 @@ JsonValue offchip::toJson(const MachineConfig &C) {
   O.set("coherence_ack_bytes", JsonValue::number(C.Coherence.AckBytes));
   O.set("coherence_invalidate_bytes",
         JsonValue::number(C.Coherence.InvalidateBytes));
-  O.set("sim_threads", JsonValue::number(C.SimThreads));
-  O.set("sim_window_batch", JsonValue::number(C.SimWindowBatch));
-  O.set("sim_replica_epochs", JsonValue::number(C.SimReplicaEpochs));
+  // Legacy fields of the removed in-simulation parallel engine, written as
+  // their old defaults so the wire bytes (and every digest pinned on them)
+  // stay put. Drop at the next protocol bump.
+  O.set("sim_threads", JsonValue::number(1u));
+  O.set("sim_window_batch", JsonValue::number(1u));
+  O.set("sim_replica_epochs", JsonValue::number(0u));
   O.set("check_invariants", JsonValue::boolean(C.CheckInvariants));
   return O;
 }
@@ -435,13 +438,12 @@ bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
       Ok = readU32(V, Key, &C->Coherence.AckBytes, Err);
     else if (Key == "coherence_invalidate_bytes")
       Ok = readU32(V, Key, &C->Coherence.InvalidateBytes, Err);
-    else if (Key == "sim_threads")
-      Ok = readU32(V, Key, &C->SimThreads, Err);
-    else if (Key == "sim_window_batch")
-      Ok = readU32(V, Key, &C->SimWindowBatch, Err);
-    else if (Key == "sim_replica_epochs")
-      Ok = readU32(V, Key, &C->SimReplicaEpochs, Err);
-    else if (Key == "check_invariants")
+    else if (Key == "sim_threads" || Key == "sim_window_batch" ||
+             Key == "sim_replica_epochs") {
+      // Legacy fields (see toJson): still type-checked, value ignored.
+      unsigned Ignored;
+      Ok = readU32(V, Key, &Ignored, Err);
+    } else if (Key == "check_invariants")
       Ok = readBool(V, Key, &C->CheckInvariants, Err);
     else
       return keyError(Err, Key, "unknown machine config key");

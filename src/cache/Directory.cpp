@@ -7,7 +7,6 @@
 using namespace offchip;
 
 int Directory::findSharer(std::uint64_t LineAddr) const {
-  Ownership.assertHeld();
   const std::uint64_t *Mask = Lines.find(LineAddr);
   if (!Mask || *Mask == 0)
     return -1;
@@ -16,7 +15,6 @@ int Directory::findSharer(std::uint64_t LineAddr) const {
 }
 
 void Directory::addSharer(std::uint64_t LineAddr, unsigned Node) {
-  Ownership.assertHeld();
   assert(Node < NumNodes && "sharer out of range");
   Lines.refOrInsert(LineAddr) |= 1ull << Node;
 }
@@ -28,7 +26,6 @@ bool Directory::hasSharer(std::uint64_t LineAddr, unsigned Node) const {
 }
 
 void Directory::removeSharer(std::uint64_t LineAddr, unsigned Node) {
-  Ownership.assertHeld();
   assert(Node < NumNodes && "sharer out of range");
   // refOrInsert would insert on a miss; look up in place instead.
   std::uint64_t *Mask = Lines.find(LineAddr);
@@ -40,7 +37,6 @@ void Directory::removeSharer(std::uint64_t LineAddr, unsigned Node) {
 }
 
 int Directory::findSharerExcept(std::uint64_t LineAddr, unsigned Node) const {
-  Ownership.assertHeld();
   const std::uint64_t *Mask = Lines.find(LineAddr);
   if (!Mask)
     return -1;
@@ -51,41 +47,33 @@ int Directory::findSharerExcept(std::uint64_t LineAddr, unsigned Node) const {
 }
 
 std::uint64_t Directory::sharerMask(std::uint64_t LineAddr) const {
-  Ownership.assertHeld();
   const std::uint64_t *Mask = Lines.find(LineAddr);
   return Mask ? *Mask : 0;
 }
 
-// No assertHeld: like hasSharer, the invariant checker (src/check) calls
-// this from the main thread after the engines have joined.
 int Directory::exclusiveOwner(std::uint64_t LineAddr) const {
   const std::uint64_t *Owner = Excl.find(LineAddr);
   return Owner ? static_cast<int>(*Owner) : -1;
 }
 
 void Directory::setExclusive(std::uint64_t LineAddr, unsigned Node) {
-  Ownership.assertHeld();
   assert(Node < NumNodes && "owner out of range");
   Excl.refOrInsert(LineAddr) = Node;
 }
 
 void Directory::clearExclusive(std::uint64_t LineAddr) {
-  Ownership.assertHeld();
   Excl.erase(LineAddr);
 }
 
 bool Directory::tracksLine(std::uint64_t LineAddr) const {
-  Ownership.assertHeld();
   return Lines.find(LineAddr) != nullptr;
 }
 
 void Directory::eraseLine(std::uint64_t LineAddr) {
-  Ownership.assertHeld();
   Lines.erase(LineAddr);
   Excl.erase(LineAddr);
 }
 
 bool Directory::pickVictim(std::uint64_t *LineAddr) {
-  Ownership.assertHeld();
   return Lines.nextKey(&VictimCursor, LineAddr);
 }

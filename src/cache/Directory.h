@@ -12,7 +12,6 @@
 #define OFFCHIP_CACHE_DIRECTORY_H
 
 #include "support/FlatMap.h"
-#include "support/Shard.h"
 
 #include <cassert>
 #include <cstdint>
@@ -92,11 +91,6 @@ public:
     });
   }
 
-  /// Debug ownership: the parallel engine binds the directory to the merger
-  /// thread so any worker-side lookup asserts (directory state is global and
-  /// must only be advanced in merged event order).
-  OwnerTag &ownership() { return Ownership; }
-
 private:
   unsigned NumNodes;
   FlatMap64 Lines;
@@ -105,7 +99,6 @@ private:
   FlatMap64 Excl;
   /// Rotating slot cursor for pickVictim.
   std::size_t VictimCursor = 0;
-  OwnerTag Ownership;
 };
 
 } // namespace offchip

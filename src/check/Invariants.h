@@ -7,9 +7,8 @@
 ///
 ///  - RequestLedger: every access the engine issues retires exactly once,
 ///    each thread has at most one access in flight, and a thread's event
-///    keys never go backwards. Both engine loops feed the same ledger, so
-///    a merger that drops, duplicates or reorders a shipped event is caught
-///    even when the aggregate counters happen to balance.
+///    keys never go backwards — caught even when the aggregate counters
+///    happen to balance.
 ///  - Directory/L2 consistency (checkDirectoryAgainstL2s): the sharer set
 ///    the directory tracks for a line matches the private L2s that actually
 ///    hold it, in both directions.
@@ -36,13 +35,8 @@ namespace offchip {
 class Cache;
 class Directory;
 
-/// Issue/retire accounting for every access the engine processes.
-///
-/// Thread safety: one slot per simulated thread, padded to a cache line.
-/// A slot is only ever touched by the worker that owns the thread's node
-/// or — for a shipped access, while the node is stalled — by the merger;
-/// the SPSC event/resume handoffs order those touches (release push /
-/// acquire pop), so the fields need no atomics.
+/// Issue/retire accounting for every access the engine processes, one slot
+/// per simulated thread.
 class RequestLedger {
 public:
   explicit RequestLedger(unsigned NumThreads) : Slots(NumThreads) {}
@@ -74,14 +68,14 @@ public:
     ++S.Retired;
   }
 
-  /// End-of-run verification; call after both engine loops have joined.
+  /// End-of-run verification; call after the event loop has finished.
   /// \p TotalAccesses is SimResult::TotalAccesses — every issued access is
   /// counted there exactly once, so the totals must agree. \returns one
   /// message per violated invariant (empty when clean).
   std::vector<std::string> verify(std::uint64_t TotalAccesses) const;
 
 private:
-  struct alignas(64) Slot {
+  struct Slot {
     std::uint64_t Issued = 0;
     std::uint64_t Retired = 0;
     std::uint64_t LastKey = 0;
@@ -100,8 +94,7 @@ private:
 /// injects an invalidation toward a node and one ackReceived when that
 /// node's copy was actually found and dropped — so a directory entry that
 /// names a node whose L2 never held the line shows up as an unacked
-/// invalidation. Single-threaded by construction: all coherence actions run
-/// in merged event order (serial loop or merger thread).
+/// invalidation.
 class CoherenceLedger {
 public:
   explicit CoherenceLedger(unsigned NumNodes)

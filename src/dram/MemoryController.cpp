@@ -84,12 +84,12 @@ DramAccessResult MemoryController::access(std::uint64_t PhysAddr,
     ++RowHits;
   TotalQueueCycles += R.QueueCycles;
   TotalServiceCycles += Service;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time,
-                     static_cast<std::uint32_t>(R.QueueCycles), PhysAddr, Id);
-    Sink->emitShared(TraceKind::BankService, Start,
-                     static_cast<std::uint32_t>(Service), PhysAddr,
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
+  if (Sink) {
+    Sink->emit(TraceKind::MCEnqueue, Time,
+               static_cast<std::uint32_t>(R.QueueCycles), PhysAddr, Id);
+    Sink->emit(TraceKind::BankService, Start,
+               static_cast<std::uint32_t>(Service), PhysAddr,
+               (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
   }
   return R;
 }
@@ -135,12 +135,12 @@ DramAccessResult MemoryController::accessBurst(const std::uint64_t *Addrs,
     ++RowHits;
   TotalQueueCycles += R.QueueCycles;
   TotalServiceCycles += Service;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time,
-                     static_cast<std::uint32_t>(R.QueueCycles), Addrs[0], Id);
-    Sink->emitShared(TraceKind::BankService, Start,
-                     static_cast<std::uint32_t>(Service), Addrs[0],
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
+  if (Sink) {
+    Sink->emit(TraceKind::MCEnqueue, Time,
+               static_cast<std::uint32_t>(R.QueueCycles), Addrs[0], Id);
+    Sink->emit(TraceKind::BankService, Start,
+               static_cast<std::uint32_t>(Service), Addrs[0],
+               (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
   }
   return R;
 }
@@ -162,11 +162,11 @@ DramAccessResult MemoryController::accessIdeal(std::uint64_t PhysAddr,
   if (Hit)
     ++RowHits;
   TotalServiceCycles += R.ServiceCycles;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time, 0, PhysAddr, Id);
-    Sink->emitShared(TraceKind::BankService, Time,
-                     static_cast<std::uint32_t>(R.ServiceCycles), PhysAddr,
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
+  if (Sink) {
+    Sink->emit(TraceKind::MCEnqueue, Time, 0, PhysAddr, Id);
+    Sink->emit(TraceKind::BankService, Time,
+               static_cast<std::uint32_t>(R.ServiceCycles), PhysAddr,
+               (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
   }
   return R;
 }

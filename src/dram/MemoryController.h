@@ -132,11 +132,12 @@ public:
   /// bank was busy; a utilization proxy.
   double bankUtilization(std::uint64_t Now) const;
 
-  /// Attaches the tracing sink. When set and a shared trace context is
-  /// open, access()/accessIdeal() emit one MCEnqueue (Aux = MC id, Dur =
-  /// queue-wait cycles) and one BankService (Aux = (MC id << 16) |
-  /// (bank << 1) | row-hit, Dur = service cycles) event. writeback() stays
-  /// silent so the traced request counts match SimResult::NodeToMCTraffic.
+  /// Attaches the tracing sink; accesses must then run inside its
+  /// per-access context (Machine::access opens it). access()/accessIdeal()
+  /// emit one MCEnqueue (Aux = MC id, Dur = queue-wait cycles) and one
+  /// BankService (Aux = (MC id << 16) | (bank << 1) | row-hit, Dur =
+  /// service cycles) event. writeback() stays silent so the traced request
+  /// counts match SimResult::NodeToMCTraffic.
   void setTraceSink(TraceSink *S) { Sink = S; }
 
   void reset();

@@ -243,20 +243,9 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
       AppFilter(appNames()) {
   Parser.value("--jobs", &JobsSetting,
                "parallel simulation jobs (default: one per hardware thread)");
-  Parser.value("--sim-threads", &SimThreadsSetting,
-               "host threads inside each simulation (default 1 = serial "
-               "reference engine; results are bit-identical for any value)");
-  Parser.value("--sim-window-batch", &SimWindowBatchSetting,
-               "events/resumes per parallel-engine mailbox publish (default "
-               "1 = publish immediately; any value is bit-identical)");
-  Parser.value("--sim-replica-epochs", &SimReplicaEpochsSetting,
-               "staleness bound of the workers' shard-local VM-translation "
-               "replicas, in merger windows (default 0 = replicas off; any "
-               "value is bit-identical)");
   Parser.flag("--burst-coalesce", &BurstRequested,
               "coalesce runs of adjacent off-chip lines into wide DRAM "
-              "transactions (default off; results stay bit-identical across "
-              "--sim-threads)");
+              "transactions (default off)");
   Parser.custom("--coherence", "<msi|mesi>",
                 [this](const std::string &V) {
                   if (V != "msi" && V != "mesi")
@@ -265,8 +254,7 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
                   return true;
                 },
                 "model an invalidation-based coherence protocol over the "
-                "private-L2 machine (default off; results stay bit-identical "
-                "across --sim-threads)");
+                "private-L2 machine (default off)");
   Parser.value("--sparse-dir", &SparseDirSetting,
                "bound the coherence directory to N tracked lines, evicting "
                "by broadcast-invalidate (default 0 = unbounded; needs "
@@ -363,12 +351,6 @@ std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --csv and --json are mutually exclusive\n");
     return 2;
   }
-  if (SimThreadsSetting != 0)
-    Config.SimThreads = SimThreadsSetting;
-  if (SimWindowBatchSetting != 0)
-    Config.SimWindowBatch = SimWindowBatchSetting;
-  if (SimReplicaEpochsSetting != 0)
-    Config.SimReplicaEpochs = SimReplicaEpochsSetting;
   if (BurstRequested)
     Config.Burst.Enabled = true;
   if (!CoherenceArg.empty())

@@ -124,10 +124,10 @@ public:
   /// the calibrated overhead correction.
   std::uint64_t timedCalls() const { return TimedCalls; }
 
-  /// Attaches the tracing sink. When set and a shared trace context is
-  /// open, every link reservation emits one NocHop event (Start = booked
-  /// cycle, Dur = flits, Aux = directed link id). sendIdeal() reserves
-  /// nothing and therefore traces nothing.
+  /// Attaches the tracing sink; sends must then run inside its per-access
+  /// context (Machine::access opens it). Every link reservation emits one
+  /// NocHop event (Start = booked cycle, Dur = flits, Aux = directed link
+  /// id); sendIdeal() reserves nothing and therefore traces nothing.
   void setTraceSink(TraceSink *S) { Sink = S; }
 
   /// Forgets all link occupancy and counters.

@@ -70,92 +70,65 @@ unsigned Machine::mcForPhys(std::uint64_t PA) const {
 }
 
 std::uint64_t Machine::access(unsigned Node, std::uint64_t VA, bool IsWrite,
-                              std::uint64_t Time, SimResult &R) {
-  if (coherent())
-    return accessCoherent(Node, VA, IsWrite, Time, R);
+                              std::uint64_t Time, SimResult &R,
+                              ThreadStream *Lookahead, std::uint64_t Key) {
+  if (Sink)
+    Sink->beginAccess(Node, Key);
+  ++R.TotalAccesses;
+  std::uint64_t Done =
+      Config.Coherence.enabled()
+          ? accessCoherent(Node, VA, IsWrite, Time, R)
+          : accessCoherenceFree(Node, VA, IsWrite, Time, R, Lookahead);
+  if (Sink)
+    Sink->endAccess();
+  R.AccessLatency.addSample(static_cast<double>(Done - Time));
+  return Done;
+}
+
+std::uint64_t Machine::accessCoherenceFree(unsigned Node, std::uint64_t VA,
+                                           bool IsWrite, std::uint64_t Time,
+                                           SimResult &R,
+                                           ThreadStream *Lookahead) {
   std::uint64_t T = Time + Config.L1LatencyCycles;
-  if (l1Probe(Node, VA, IsWrite)) {
-    // The engine hands us accesses in ready-time order; everything this
-    // access sends happens at or after Time.
-    Net.advanceFloor(Time);
-    ++R.TotalAccesses;
+  bool L1Hit = l1Probe(Node, VA, IsWrite);
+  if (Sink)
+    Sink->emit(L1Hit ? TraceKind::L1Hit : TraceKind::L1Miss, Time,
+               Config.L1LatencyCycles, VA, 0);
+  if (L1Hit) {
     ++R.L1Hits;
-    R.AccessLatency.addSample(static_cast<double>(T - Time));
     return T;
   }
+  // Accesses arrive in ready-time order; everything this one sends happens
+  // at or after Time.
+  Net.advanceFloor(Time);
+  std::uint64_t Done;
   if (localL2Eligible()) {
     // PA == VA: the MC-select bits sit below the page offset, identity map.
     std::uint64_t T2 = T + Config.L2LatencyCycles;
-    if (l2ProbeLocal(Node, VA, IsWrite)) {
-      Net.advanceFloor(Time);
-      ++R.TotalAccesses;
+    bool L2Hit = l2ProbeLocal(Node, VA, IsWrite);
+    if (Sink)
+      Sink->emit(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
+                 Config.L2LatencyCycles, VA, Node);
+    if (L2Hit) {
       ++R.LocalL2Hits;
       fillL1(Node, VA, IsWrite, T2);
-      R.AccessLatency.addSample(static_cast<double>(T2 - Time));
+      if (Sink)
+        Sink->emit(TraceKind::L1Fill, T2, 0, VA, 0);
       return T2;
     }
-    return missAfterL2(Node, VA, IsWrite, Time, R);
+    Done = privateMissTail(Node, VA, VA, IsWrite, T2, R, Lookahead);
+  } else {
+    std::uint64_t PA = physFor(VA, Node);
+    Done = Config.SharedL2
+               ? accessShared(Node, PA, IsWrite, T, R)
+               : accessPrivate(Node, PA, VA, IsWrite, T, R, Lookahead);
   }
-  return missAfterL1(Node, VA, IsWrite, Time, R);
-}
-
-std::uint64_t Machine::missAfterL1(unsigned Node, std::uint64_t VA,
-                                   bool IsWrite, std::uint64_t Time,
-                                   SimResult &R, ThreadStream *Lookahead) {
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles;
-  std::uint64_t PA = physFor(VA, Node);
-  std::uint64_t Done =
-      Config.SharedL2 ? accessShared(Node, PA, IsWrite, T, R)
-                      : accessPrivate(Node, PA, VA, IsWrite, T, R, Lookahead);
   fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
+  if (Sink) {
+    Sink->emit(TraceKind::L1Fill, Done, 0, VA, 0);
+    Sink->emit(TraceKind::Complete, Time,
+               static_cast<std::uint32_t>(Done - Time), VA, 0);
   }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
-  return Done;
-}
-
-std::uint64_t Machine::missAfterL2(unsigned Node, std::uint64_t VA,
-                                   bool IsWrite, std::uint64_t Time,
-                                   SimResult &R, ThreadStream *Lookahead) {
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles + Config.L2LatencyCycles;
-  // Cache-line interleaving: VA == PA (identity map).
-  std::uint64_t Done = privateMissTail(Node, VA, VA, IsWrite, T, R, Lookahead);
-  fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
-  }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
-  return Done;
-}
-
-std::uint64_t Machine::missAfterL1Probed(unsigned Node, std::uint64_t VA,
-                                         std::uint64_t PA, bool IsWrite,
-                                         std::uint64_t Time, SimResult &R,
-                                         ThreadStream *Lookahead) {
-  assert(!Config.SharedL2 &&
-         Config.Granularity == InterleaveGranularity::Page &&
-         "replica completions only exist on page-interleaved private-L2 "
-         "machines");
-  assert(!Sink && "replica fast path is disabled while tracing");
-  // The worker already translated VA from its replica (so PA is exactly what
-  // physFor would return — translations are immutable once mapped) and
-  // already ran the private-L2 probe, which missed. Replaying either here
-  // would double-count cache statistics, so this is missAfterL1 minus both.
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles + Config.L2LatencyCycles;
-  std::uint64_t Done = privateMissTail(Node, PA, VA, IsWrite, T, R, Lookahead);
-  fillL1(Node, VA, IsWrite, Done);
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
   return Done;
 }
 
@@ -186,9 +159,9 @@ std::uint64_t Machine::accessPrivate(unsigned Node, std::uint64_t PA,
   std::uint64_t T = Time + Config.L2LatencyCycles;
   std::uint64_t Line = L2LineDiv.div(PA);
   bool Hit = L2s[Node].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, Time,
-                     Config.L2LatencyCycles, PA, Node);
+  if (Sink)
+    Sink->emit(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, Time,
+               Config.L2LatencyCycles, PA, Node);
   if (Hit) {
     ++R.LocalL2Hits;
     return T;
@@ -307,9 +280,9 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
   MessageResult Req = Optimal
                           ? Net.sendIdeal(Node, DirNode, Config.RequestBytes, T)
                           : Net.send(Node, DirNode, Config.RequestBytes, T);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, PA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, PA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
 
   int Sharer = Dir.findSharer(Line);
@@ -317,10 +290,10 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
     // On-chip access: forward to the sharing L2, which responds with data.
     MessageResult Fwd = Net.send(DirNode, static_cast<unsigned>(Sharer),
                                  Config.RequestBytes, T);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                       Config.L2LatencyCycles, PA,
-                       static_cast<std::uint32_t>(Sharer));
+    if (Sink)
+      Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
+                 Config.L2LatencyCycles, PA,
+                 static_cast<std::uint32_t>(Sharer));
     T = Fwd.ArrivalTime + Config.L2LatencyCycles;
     MessageResult Data = Net.send(static_cast<unsigned>(Sharer), Node,
                                   Config.L2LineBytes, T);
@@ -352,11 +325,11 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
       Dram = MCs[MC].accessBurst(BurstPAs.data(), BurstK, T);
       ++R.BurstTransactions;
       R.BurstLines += BurstK;
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::BurstCoalesce,
-                         Dram.CompleteTime - Dram.ServiceCycles,
-                         static_cast<std::uint32_t>(Dram.ServiceCycles), PA,
-                         (MC << 8) | (BurstK & 0xffu));
+      if (Sink)
+        Sink->emit(TraceKind::BurstCoalesce,
+                   Dram.CompleteTime - Dram.ServiceCycles,
+                   static_cast<std::uint32_t>(Dram.ServiceCycles), PA,
+                   (MC << 8) | (BurstK & 0xffu));
     } else {
       Dram = MCs[MC].access(PA, T);
     }
@@ -428,9 +401,9 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
   std::uint64_t T = Req.ArrivalTime + Config.L2LatencyCycles;
 
   bool HomeHit = L2s[Home].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(HomeHit ? TraceKind::L2Hit : TraceKind::L2Miss,
-                     Req.ArrivalTime, Config.L2LatencyCycles, PA, Home);
+  if (Sink)
+    Sink->emit(HomeHit ? TraceKind::L2Hit : TraceKind::L2Miss,
+               Req.ArrivalTime, Config.L2LatencyCycles, PA, Home);
   if (HomeHit) {
     // Path 5: data back to the requesting L1.
     MessageResult Resp = Net.send(Home, Node, Config.L1LineBytes, T);
@@ -496,10 +469,8 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
 std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
                                       bool IsWrite, std::uint64_t Time,
                                       SimResult &R) {
-  assert(coherent() && !Config.SharedL2 &&
-         "coherence runs on the private-L2 flow only");
+  assert(!Config.SharedL2 && "coherence runs on the private-L2 flow only");
   Net.advanceFloor(Time);
-  ++R.TotalAccesses;
   std::uint64_t T = Time + Config.L1LatencyCycles;
 
   // L1 probe. A write probe sets the dirty bit before write permission is
@@ -507,11 +478,9 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
   // by the time this access completes the line is Modified.
   bool L1Hit = l1Probe(Node, VA, IsWrite);
   if (L1Hit && !IsWrite) {
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA,
-                       Node);
+    if (Sink)
+      Sink->emit(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA, Node);
     ++R.L1Hits;
-    R.AccessLatency.addSample(static_cast<double>(T - Time));
     return T;
   }
 
@@ -530,21 +499,18 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
       if (St == static_cast<int>(LineState::Exclusive))
         L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
       L2s[Node].markDirty(Line);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA,
-                         Node);
+      if (Sink)
+        Sink->emit(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA, Node);
       ++R.L1Hits;
-      R.AccessLatency.addSample(static_cast<double>(T - Time));
       return T;
     }
     if (St == static_cast<int>(LineState::Shared)) {
       // Upgrade: a directory round trip invalidating every other copy.
       std::uint64_t Done = coherentUpgrade(Node, Line, T, R);
       ++R.CoherenceUpgrades;
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::Complete, Time,
-                         static_cast<std::uint32_t>(Done - Time), VA, 0);
-      R.AccessLatency.addSample(static_cast<double>(Done - Time));
+      if (Sink)
+        Sink->emit(TraceKind::Complete, Time,
+                   static_cast<std::uint32_t>(Done - Time), VA, 0);
       return Done;
     }
     assert(St >= 0 && "L1 hit on a line the node's L2 does not hold");
@@ -552,50 +518,33 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
     // (the L2 probe misses and the line is refetched).
   }
 
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA,
-                     Node);
+  if (Sink)
+    Sink->emit(TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA, Node);
   std::uint64_t T2 = T + Config.L2LatencyCycles;
   bool L2Hit = L2s[Node].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
-                     Config.L2LatencyCycles, PA, Node);
-  if (L2Hit) {
-    int St = L2s[Node].stateOf(Line);
-    if (!IsWrite || St != static_cast<int>(LineState::Shared)) {
-      if (IsWrite && St == static_cast<int>(LineState::Exclusive))
-        L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
-      ++R.LocalL2Hits;
-      fillL1(Node, VA, IsWrite, T2);
-      if (Sink && Sink->sharedActive()) {
-        Sink->emitShared(TraceKind::L1Fill, T2, 0, VA, 0);
-        Sink->emitShared(TraceKind::Complete, Time,
-                         static_cast<std::uint32_t>(T2 - Time), VA, 0);
-      }
-      R.AccessLatency.addSample(static_cast<double>(T2 - Time));
-      return T2;
-    }
+  if (Sink)
+    Sink->emit(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
+               Config.L2LatencyCycles, PA, Node);
+  std::uint64_t Done;
+  int St = L2Hit ? L2s[Node].stateOf(Line) : -1;
+  if (L2Hit && (!IsWrite || St != static_cast<int>(LineState::Shared))) {
+    if (IsWrite && St == static_cast<int>(LineState::Exclusive))
+      L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
+    ++R.LocalL2Hits;
+    Done = T2;
+  } else if (L2Hit) {
     // Write to a Shared copy in the own L2: upgrade.
-    std::uint64_t Done = coherentUpgrade(Node, Line, T2, R);
+    Done = coherentUpgrade(Node, Line, T2, R);
     ++R.CoherenceUpgrades;
-    fillL1(Node, VA, IsWrite, Done);
-    if (Sink && Sink->sharedActive()) {
-      Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-      Sink->emitShared(TraceKind::Complete, Time,
-                       static_cast<std::uint32_t>(Done - Time), VA, 0);
-    }
-    R.AccessLatency.addSample(static_cast<double>(Done - Time));
-    return Done;
+  } else {
+    Done = coherentMissTail(Node, PA, IsWrite, T2, R);
   }
-
-  std::uint64_t Done = coherentMissTail(Node, PA, IsWrite, T2, R);
   fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
+  if (Sink) {
+    Sink->emit(TraceKind::L1Fill, Done, 0, VA, 0);
+    Sink->emit(TraceKind::Complete, Time,
+               static_cast<std::uint32_t>(Done - Time), VA, 0);
   }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
   return Done;
 }
 
@@ -606,9 +555,9 @@ std::uint64_t Machine::coherentUpgrade(unsigned Node, std::uint64_t Line,
   unsigned DirNode = MCNodes[MC];
   MessageResult Req =
       Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, LinePA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, LinePA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   // The grant leaves only once every other copy is gone.
   T = invalidateSharers(Line, Node, DirNode, T, R);
@@ -635,8 +584,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
     Mask &= Mask - 1;
     MessageResult Inv = Net.send(DirNode, S, Config.Coherence.InvalidateBytes,
                                  T, MsgClass::Invalidate);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
+    if (Sink)
+      Sink->emit(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
     bool WasM =
         L2s[S].stateOf(Line) == static_cast<int>(LineState::Modified);
     CohLedger.invSent(S);
@@ -653,8 +602,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
       MCs[mcForPhys(LinePA)].writeback(LinePA, Ack.ArrivalTime);
       ++R.CoherenceWritebacks;
     }
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::InvAck, Ack.ArrivalTime, 0, LinePA, S);
+    if (Sink)
+      Sink->emit(TraceKind::InvAck, Ack.ArrivalTime, 0, LinePA, S);
     ++R.Invalidations;
     ++R.InvalidationAcks;
     R.CohMsgHops.addSample(Inv.Hops);
@@ -711,9 +660,9 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
 
   MessageResult Req =
       Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, PA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, PA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   std::uint64_t DirT = T;
 
@@ -729,9 +678,9 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
     int Owner = Dir.exclusiveOwner(Line);
     MessageResult Fwd =
         Net.send(DirNode, Source, Config.RequestBytes, T, MsgClass::Request);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                       Config.L2LatencyCycles, PA, Source);
+    if (Sink)
+      Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
+                 Config.L2LatencyCycles, PA, Source);
     T = Fwd.ArrivalTime + Config.L2LatencyCycles;
     MessageResult Data =
         Net.send(Source, Node, Config.L2LineBytes, T, MsgClass::Data);
@@ -774,9 +723,8 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
         ++R.CoherenceWritebacks;
       }
       R.CohMsgHops.addSample(Notify.Hops);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::Downgrade, Notify.ArrivalTime, 0, PA,
-                         Source);
+      if (Sink)
+        Sink->emit(TraceKind::Downgrade, Notify.ArrivalTime, 0, PA, Source);
       Dir.clearExclusive(Line);
       coherentL2Insert(Node, Line, false, LineState::Shared, T, R);
     } else {

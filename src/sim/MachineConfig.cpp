@@ -279,13 +279,6 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
         "must be >= 1 (each extra line of a burst occupies the bank)",
         "use the default 8 cycles per extra line");
 
-  // Parallel-engine knobs: the chunk logic flushes "when the batch reaches
-  // SimWindowBatch", so a zero batch could never flush.
-  if (SimWindowBatch < 1)
-    Bad("SimWindowBatch", SimWindowBatch,
-        "must be >= 1 (1 = publish every event immediately)",
-        "use 1 for the unbatched protocol or a window like 16/256");
-
   // Interconnect and DRAM: each divides by these at every message/request.
   if (Noc.LinkBytes < 1)
     Bad("Noc.LinkBytes", Noc.LinkBytes, "must be >= 1",

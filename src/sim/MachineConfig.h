@@ -110,9 +110,7 @@ struct MachineConfig {
   /// calendars — so coherence traffic contends with data traffic, the
   /// question the paper left open. Only meaningful for private-L2 machines
   /// (the SNUCA flow has no directory); validate() rejects SharedL2 and
-  /// burst-coalescing combinations. Results stay bit-identical across
-  /// --sim-threads values: with coherence on, every access ships through
-  /// the merger mailboxes and is applied in exact serial key order.
+  /// burst-coalescing combinations.
   struct CoherenceConfig {
     CoherenceProtocol Protocol = CoherenceProtocol::None;
     /// Bounded (sparse) directory: the directory tracks at most
@@ -139,8 +137,8 @@ struct MachineConfig {
   /// whole run as one wide DRAM transaction: one bank event at full
   /// row-activation cost plus BurstBeatCycles per extra line, one pair of
   /// NoC reservations carrying every line's flits, and ridealong fills
-  /// into the local L2. Changes timing (that is the point), but stays
-  /// bit-identical across --sim-threads values and conserves lines:
+  /// into the local L2. Changes timing (that is the point) but conserves
+  /// lines:
   /// sum(PerMCLines) == OffChipAccesses - BurstTransactions + BurstLines.
   struct BurstCoalesceConfig {
     bool Enabled = false;
@@ -158,49 +156,17 @@ struct MachineConfig {
   /// Simulated results are identical either way.
   bool CollectPhaseTimes = false;
 
-  /// Host threads used *inside* one simulation (--sim-threads). 1 is the
-  /// serial reference engine; >= 2 runs the conservative parallel engine
-  /// (sim/ParallelEngine.cpp), which produces bit-identical results by
-  /// construction. Deliberately absent from summary(): reports must be
-  /// byte-identical across values.
-  unsigned SimThreads = 1;
-
-  /// Batched window drains in the parallel engine (--sim-window-batch): the
-  /// number of worker->merger events (and merger->worker resumes) that may
-  /// accumulate in a local chunk before one mailbox publish ships them all.
-  /// 1 reproduces the original one-publish-per-access protocol exactly;
-  /// larger values amortize the SPSC release/acquire traffic over whole
-  /// conservative windows. Results are bit-identical at every value (a
-  /// worker publishes a node's event-key lower bound *before* buffering its
-  /// event, so the merger can never apply shared state out of order — it
-  /// can only wait). Like SimThreads, absent from summary() and excluded
-  /// from the content hash.
-  unsigned SimWindowBatch = 1;
-
-  /// Shard-local replica staleness bound (--sim-replica-epochs). 0 disables
-  /// replicas (the default). >= 1 gives each parallel-engine worker a local
-  /// replica of the VM translation slice it probes (fed reliably through
-  /// the resume mailbox), letting it answer page translations — and
-  /// complete private-L2 hits — without a merger round trip. The value
-  /// bounds how many merger window boundaries (epochs) a worker's replica
-  /// view may lag before lookups fall back to the stall path. Correctness
-  /// never depends on the bound: translations are immutable once mapped, so
-  /// a stale replica entry is still the exact serial answer; staleness only
-  /// converts replica hits back into merger trips. Bit-identical results at
-  /// every value; absent from summary() and the content hash.
-  unsigned SimReplicaEpochs = 0;
-
   /// Tracing subsystem knobs (src/trace). Off by default; when enabled the
   /// run's events and derived time series land in SimResult::Trace and
-  /// optionally on disk. Like SimThreads, deliberately absent from
-  /// summary(): tracing must not perturb any reported result.
+  /// optionally on disk. Deliberately absent from summary(): tracing must
+  /// not perturb any reported result.
   TraceConfig Trace;
 
-  /// Runtime invariant checking (src/check): the engines keep a
+  /// Runtime invariant checking (src/check): the engine keeps a
   /// request-retire ledger and the run's end verifies NoC calendar
   /// well-formedness, directory/L2 consistency and MC traffic conservation,
   /// aborting with a message on any violation. Never changes results; like
-  /// SimThreads, deliberately absent from summary().
+  /// Trace, deliberately absent from summary().
   bool CheckInvariants = false;
 
   unsigned numNodes() const { return MeshX * MeshY; }

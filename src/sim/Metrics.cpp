@@ -104,9 +104,8 @@ bool offchip::equalResults(const SimResult &A, const SimResult &B,
     return Fail("CohMsgHops");
   if (A.LinkBusyCycles != B.LinkBusyCycles)
     return Fail("LinkBusyCycles");
-  // SimResult::Engine and SimResult::Phases are deliberately not compared:
-  // they describe how the host executed the run (merger publishes, replica
-  // hits, wall-clock), not what was simulated.
+  // SimResult::Phases is deliberately not compared: it describes how long
+  // the host took (wall-clock), not what was simulated.
   return true;
 }
 

@@ -127,32 +127,6 @@ struct SimResult {
   /// EXPERIMENTS coherence table. Deterministic, so compared exactly.
   std::uint64_t LinkBusyCycles = 0;
 
-  /// Host-execution diagnostics of the parallel engine (all zero for the
-  /// serial engine). Like PhaseTimes these describe how the run executed,
-  /// not what it simulated, so they are excluded from equalResults() and
-  /// from the wire serialization: WorkerStallEvents and ReplicaHits are a
-  /// pure function of (config, SimThreads, knobs) — the set of accesses
-  /// that ship, and the set answerable from a worker's replica, are both
-  /// determined by the access history — but the publish counts
-  /// (WindowDrains, MergerRoundTrips) depend on how the host scheduler
-  /// interleaved the workers and the merger.
-  struct EngineCounters {
-    /// Mailbox publishes in total: worker event-chunk flushes plus merger
-    /// resume flushes. The unbatched protocol pays exactly two per shipped
-    /// access (one event publish + one resume publish); batching and
-    /// replicas exist to drive this far below 2 * WorkerStallEvents.
-    std::uint64_t MergerRoundTrips = 0;
-    /// Accesses that stalled their node and shipped to the merger.
-    std::uint64_t WorkerStallEvents = 0;
-    /// Accesses completed worker-locally via the shard's replica (page
-    /// translation answered from the replica + private L2 hit), i.e.
-    /// merger round trips avoided entirely.
-    std::uint64_t ReplicaHits = 0;
-    /// Worker event-chunk flushes (one "window drain" each).
-    std::uint64_t WindowDrains = 0;
-  };
-  EngineCounters Engine;
-
   // Wall-clock phase attribution (MachineConfig::CollectPhaseTimes).
   PhaseTimes Phases;
 
@@ -176,9 +150,9 @@ struct SimResult {
 
 /// Exact equality of every value-typed metric of two runs, including all
 /// accumulator moments, histograms and per-MC tables; the differential
-/// check behind the serial-vs-parallel tests and tools/offchip-fuzz.
-/// Phase wall-times, the engine's host-execution counters and the attached
-/// trace are excluded (host-dependent / shared-pointer identity). On
+/// check behind the traced-vs-untraced tests and tools/offchip-fuzz.
+/// Phase wall-times and the attached trace are excluded (host-dependent /
+/// shared-pointer identity). On
 /// mismatch \returns false and names the first differing field in
 /// \p WhyNot (if non-null).
 bool equalResults(const SimResult &A, const SimResult &B,

@@ -36,8 +36,6 @@ const char *kindName(TraceKind K) {
     return "access";
   case TraceKind::BurstCoalesce:
     return "burst";
-  case TraceKind::WindowDrain:
-    return "window-drain";
   case TraceKind::Invalidate:
     return "invalidate";
   case TraceKind::Downgrade:

@@ -5,7 +5,7 @@
 /// in Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps are
 /// simulated cycles, not microseconds; every value is an integer, so the
 /// output is byte-deterministic — equal TraceData renders to equal bytes,
-/// which the --sim-threads identity tests rely on.
+/// which the trace identity tests rely on.
 ///
 /// Track layout:
 ///   pid 0 "cores"  — one tid per node; access lifecycle spans.

@@ -22,7 +22,7 @@ TraceSink::TraceSink(const TraceConfig &Config, unsigned NumNodes,
 
 void TraceSink::push(unsigned Node, const TraceEvent &E) {
   NodeRing &R = Rings[Node];
-  ++R.Emitted;
+  ++Emitted;
   std::size_t Cap = static_cast<std::size_t>(Config.MaxEventsPerNode);
   if (R.Events.size() < Cap) {
     R.Events.push_back(E);
@@ -33,13 +33,12 @@ void TraceSink::push(unsigned Node, const TraceEvent &E) {
   // — a pure function of the node's event sequence.
   R.Events[R.First] = E;
   R.First = (R.First + 1) % Cap;
-  ++R.Dropped;
+  ++Dropped;
 }
 
-void TraceSink::emitShared(TraceKind Kind, std::uint64_t Start,
-                           std::uint32_t Dur, std::uint64_t Addr,
-                           std::uint32_t Aux) {
-  assert(CtxActive && "emitShared outside beginShared/endShared");
+void TraceSink::emit(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
+                     std::uint64_t Addr, std::uint32_t Aux) {
+  assert(CtxActive && "emit outside beginAccess/endAccess");
   push(CtxNode, {CtxKey, Start, Addr, Dur, Aux,
                  static_cast<std::uint16_t>(CtxNode), Kind});
 
@@ -69,20 +68,6 @@ void TraceSink::emitShared(TraceKind Kind, std::uint64_t Start,
   }
 }
 
-std::uint64_t TraceSink::emitted() const {
-  std::uint64_t N = 0;
-  for (const NodeRing &R : Rings)
-    N += R.Emitted;
-  return N;
-}
-
-std::uint64_t TraceSink::dropped() const {
-  std::uint64_t N = 0;
-  for (const NodeRing &R : Rings)
-    N += R.Dropped;
-  return N;
-}
-
 TraceData TraceSink::take(unsigned ThreadShift) {
   TraceData D;
   D.Config = Config;
@@ -91,8 +76,8 @@ TraceData TraceSink::take(unsigned ThreadShift) {
   D.NumMCs = NumMCs;
   D.ThreadShift = ThreadShift;
   D.MCNodes = std::move(MCNodes);
-  D.EmittedEvents = emitted();
-  D.DroppedEvents = dropped();
+  D.EmittedEvents = Emitted;
+  D.DroppedEvents = Dropped;
 
   std::size_t Total = 0;
   for (const NodeRing &R : Rings)
@@ -107,8 +92,8 @@ TraceData TraceSink::take(unsigned ThreadShift) {
     R.First = 0;
   }
   // Stable sort by key: same-key events all come from one node's buffer,
-  // already in emission order, so this is the serial event order for any
-  // engine (see TraceEvent.h).
+  // already in emission order, so this is the engine's event order (see
+  // TraceEvent.h).
   std::stable_sort(
       D.Events.begin(), D.Events.end(),
       [](const TraceEvent &A, const TraceEvent &B) { return A.Key < B.Key; });

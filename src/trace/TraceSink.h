@@ -5,18 +5,11 @@
 /// disabled (every instrumentation site is guarded by one pointer test) and
 /// no locking when enabled.
 ///
-/// Thread-safety contract (matches the engines' ownership protocol):
-///
-///  - emit(Node, ...) may only be called by the host thread currently
-///    advancing that node: a shard worker while the node is not stalled, or
-///    the serial loop. Each node's buffer is single-writer at any instant.
-///  - beginShared/emitShared/endShared may only be called by the thread
-///    that owns shared machine state: the merger in the parallel engine,
-///    the (only) thread in the serial engine. emitShared appends to the
-///    buffer of the node named by beginShared; the parallel engine's SPSC
-///    handoff orders those appends against the owning worker's.
-///  - The aggregate tables (link busy, MC queue, node->MC traffic) are
-///    updated only from emitShared — i.e. only ever by one thread.
+/// Events are stamped per access: Machine::access opens a context with
+/// beginAccess(Node, Key) and closes it with endAccess(); every emit() in
+/// between, including those of the instrumented substrates (Network,
+/// MemoryController), is stamped with Key and appended to Node's buffer.
+/// The sink is single-threaded: one simulation drives it from one thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,40 +29,21 @@ public:
   TraceSink(const TraceConfig &Config, unsigned NumNodes, unsigned MeshX,
             unsigned NumMCs, std::vector<unsigned> MCNodes);
 
-  //===--------------------------------------------------------------------===//
-  // Node-local emission (worker side)
-  //===--------------------------------------------------------------------===//
-
-  void emit(unsigned Node, std::uint64_t Key, TraceKind Kind,
-            std::uint64_t Start, std::uint32_t Dur, std::uint64_t Addr,
-            std::uint32_t Aux) {
-    push(Node, {Key, Start, Addr, Dur, Aux, static_cast<std::uint16_t>(Node),
-                Kind});
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Shared-state emission (merger side)
-  //===--------------------------------------------------------------------===//
-
-  /// Opens the per-request context: subsequent emitShared calls are stamped
-  /// with \p Key and appended to \p Node's buffer. Instrumented substrates
+  /// Opens the per-access context: subsequent emit calls are stamped with
+  /// \p Key and appended to \p Node's buffer. Instrumented substrates
   /// (Network, MemoryController) emit through this context so they need no
   /// knowledge of engine keys.
-  void beginShared(unsigned Node, std::uint64_t Key) {
-    assert(!CtxActive && "nested shared trace contexts");
+  void beginAccess(unsigned Node, std::uint64_t Key) {
+    assert(!CtxActive && "nested trace access contexts");
     CtxActive = true;
     CtxNode = Node;
     CtxKey = Key;
   }
 
-  void endShared() { CtxActive = false; }
+  void endAccess() { CtxActive = false; }
 
-  /// True between beginShared and endShared; substrates use this to skip
-  /// emission for un-attributed calls (e.g. direct Machine::access users).
-  bool sharedActive() const { return CtxActive; }
-
-  void emitShared(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
-                  std::uint64_t Addr, std::uint32_t Aux);
+  void emit(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
+            std::uint64_t Addr, std::uint32_t Aux);
 
   //===--------------------------------------------------------------------===//
   // Extraction
@@ -77,25 +51,16 @@ public:
 
   /// Moves everything collected into an exportable TraceData: buffers are
   /// unwound in node order and stably sorted by Key, which reproduces the
-  /// serial event order regardless of the engine that ran (see
-  /// TraceEvent.h). Call once, after the simulation has joined.
+  /// engine's event order (see TraceEvent.h). Call once, after the
+  /// simulation has finished.
   TraceData take(unsigned ThreadShift);
 
-  /// Totals across all node rings. Only meaningful once the engines have
-  /// joined (per-ring tallies are written by their owning threads).
-  std::uint64_t emitted() const;
-  std::uint64_t dropped() const;
-
 private:
-  /// One node's ring: Events[(First + i) % capacity] for i < Count. The
-  /// emitted/dropped tallies live per ring (not on the sink) so concurrent
-  /// workers never share a counter; take() sums them.
+  /// One node's ring: Events[(First + i) % capacity] for i < Count.
   struct NodeRing {
     std::vector<TraceEvent> Events;
     std::size_t First = 0;
     std::size_t Count = 0;
-    std::uint64_t Emitted = 0;
-    std::uint64_t Dropped = 0;
   };
 
   void push(unsigned Node, const TraceEvent &E);
@@ -105,12 +70,15 @@ private:
   unsigned NumMCs;
   std::vector<unsigned> MCNodes;
   std::vector<NodeRing> Rings;
+  /// Events emitted in total, and those the rings overwrote.
+  std::uint64_t Emitted = 0;
+  std::uint64_t Dropped = 0;
 
   bool CtxActive = false;
   unsigned CtxNode = 0;
   std::uint64_t CtxKey = 0;
 
-  // Aggregate tables (merger-side only; never ring-capped).
+  // Aggregate tables (never ring-capped).
   std::vector<std::vector<std::uint64_t>> LinkBusyPerBucket;
   std::vector<std::vector<TraceData::McSample>> McQueuePerBucket;
   std::vector<std::uint64_t> NodeToMCRequests;

@@ -63,7 +63,6 @@ TEST(ContentHash, IdAndExecutionKnobsExcluded) {
   SimRequest A = tinySimulate();
   SimRequest B = tinySimulate();
   B.Id = "completely-different";
-  B.Config.SimThreads = 8;
   B.Config.CheckInvariants = !A.Config.CheckInvariants;
   B.Config.Trace.Enabled = true;
   B.Config.Trace.SampleCycles += 100;
@@ -456,8 +455,7 @@ TEST(Service, ServedEqualsDirectAndSecondCallHits) {
       << Why;
   EXPECT_EQ(toJson(Served.Plan).write(), toJson(Direct.Plan).write());
 
-  R.Id = "second";
-  R.Config.SimThreads = 4; // result-invariant → must still hit
+  R.Id = "second"; // the id is not hashed → must still hit
   SimResponse Again = Service.call(R);
   ASSERT_TRUE(Again.ok());
   EXPECT_TRUE(Again.CacheHit);
@@ -474,6 +472,50 @@ TEST(Service, ServedEqualsDirectAndSecondCallHits) {
   EXPECT_EQ(S.Completed, 2u);
   EXPECT_EQ(S.Cache.Hits, 1u);
   EXPECT_EQ(S.Cache.Misses, 1u);
+}
+
+// The config keys of the removed in-simulation parallel engine stay on the
+// wire as legacy fields until the next protocol bump: a request line that
+// still carries them (at non-default values) must parse, share the default
+// request's cache key and entry, and get the same result bytes back.
+TEST(Service, LegacyEngineWireKeysAreAcceptedAndIgnored) {
+  SimRequest Default = tinySimulate();
+  std::string Line = writeRequestLine(Default);
+  const std::string Old =
+      "\"sim_threads\":1,\"sim_window_batch\":1,\"sim_replica_epochs\":0";
+  std::size_t Pos = Line.find(Old);
+  ASSERT_NE(Pos, std::string::npos) << Line;
+  Line.replace(Pos, Old.size(),
+               "\"sim_threads\":8,\"sim_window_batch\":256,"
+               "\"sim_replica_epochs\":4");
+
+  std::string Err;
+  std::optional<JsonValue> V = parseJson(Line, &Err);
+  ASSERT_TRUE(V.has_value()) << Err;
+  SimRequest Legacy;
+  ASSERT_TRUE(requestFromJson(*V, &Legacy, &Err)) << Err;
+  EXPECT_EQ(requestKey(Legacy), requestKey(Default));
+  EXPECT_EQ(writeRequestLine(Legacy), writeRequestLine(Default));
+
+  SimService Service({1, 8, 8});
+  SimResponse First = Service.call(Default);
+  SimResponse Second = Service.call(Legacy);
+  ASSERT_TRUE(First.ok());
+  ASSERT_TRUE(Second.ok());
+  EXPECT_FALSE(First.CacheHit);
+  EXPECT_TRUE(Second.CacheHit);
+  EXPECT_EQ(Second.Key, First.Key);
+  EXPECT_EQ(toJson(*Second.Original).write(), toJson(*First.Original).write());
+  EXPECT_EQ(toJson(*Second.Optimized).write(),
+            toJson(*First.Optimized).write());
+
+  // Still type-checked: a non-integer value is a request error.
+  std::string Bad = Line;
+  Bad.replace(Bad.find("\"sim_threads\":8"), 15, "\"sim_threads\":\"8\"");
+  V = parseJson(Bad, &Err);
+  ASSERT_TRUE(V.has_value()) << Err;
+  EXPECT_FALSE(requestFromJson(*V, &Legacy, &Err));
+  EXPECT_NE(Err.find("sim_threads"), std::string::npos) << Err;
 }
 
 TEST(Service, ErrorResponsesAreNotCached) {

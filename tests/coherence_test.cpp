@@ -1,12 +1,11 @@
 //===- tests/coherence_test.cpp - MSI/MESI protocol unit tests -------------===//
 ///
-/// Drives Machine::accessCoherent directly with hand-picked addresses,
-/// pinning the protocol's counter semantics (invalidations, downgrades,
-/// upgrades, exclusive grants, sparse-directory evictions), the invariant
-/// algebra over those counters, and the engines' bit-identical promise
-/// with coherence enabled. Directory/FlatMap edge cases — victim-cursor
-/// rotation and the erase-outside-forEach discipline — are covered at the
-/// unit level.
+/// Drives Machine::access on coherent machines directly with hand-picked
+/// addresses, pinning the protocol's counter semantics (invalidations,
+/// downgrades, upgrades, exclusive grants, sparse-directory evictions) and
+/// the invariant algebra over those counters. Directory/FlatMap edge
+/// cases — victim-cursor rotation and the erase-outside-forEach
+/// discipline — are covered at the unit level.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +13,6 @@
 #include "harness/Experiment.h"
 #include "sim/Machine.h"
 #include "support/FlatMap.h"
-#include "workloads/AppModel.h"
 
 #include <gtest/gtest.h>
 
@@ -43,7 +41,7 @@ struct Rig {
   /// Issues one coherent access and returns its completion cycle.
   std::uint64_t go(unsigned Node, std::uint64_t VA, bool IsWrite,
                    std::uint64_t Time) {
-    return M.accessCoherent(Node, VA, IsWrite, Time, R);
+    return M.access(Node, VA, IsWrite, Time, R);
   }
 
   /// Finalizes and demands a clean invariant report.
@@ -246,59 +244,6 @@ TEST(Coherence, IdenticalRunsProduceIdenticalResults) {
   std::string Why;
   EXPECT_TRUE(equalResults(A.R, B.R, &Why)) << Why;
   EXPECT_TRUE(A.M.checkInvariants(A.R).empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Engine equivalence: serial vs parallel with coherence on
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs \p App serially and at 2/3/8 sim threads; coherent mode ships every
-/// access through the merger, so the results must stay bit-identical.
-void checkCoherentAcrossSimThreads(const char *AppName, MachineConfig Config) {
-  AppModel App = buildApp(AppName, /*SizeScale=*/0.1);
-  ClusterMapping M = makeM1Mapping(Config);
-  Config.SimThreads = 1;
-  SimResult Serial = runVariant(App, Config, M, RunVariant::Original);
-  for (unsigned N : {2u, 3u, 8u}) {
-    Config.SimThreads = N;
-    SimResult Parallel = runVariant(App, Config, M, RunVariant::Original);
-    std::string Why;
-    EXPECT_TRUE(equalResults(Serial, Parallel, &Why))
-        << AppName << " SimThreads=" << N << ": " << Why;
-  }
-}
-
-MachineConfig smallMesh(MachineConfig C) {
-  C.MeshX = 4;
-  C.MeshY = 4;
-  return C;
-}
-
-} // namespace
-
-TEST(CoherenceEngine, MsiIdenticalAcrossSimThreads) {
-  checkCoherentAcrossSimThreads("swim", smallMesh(msiConfig()));
-}
-
-TEST(CoherenceEngine, MesiIdenticalAcrossSimThreads) {
-  checkCoherentAcrossSimThreads("mgrid", smallMesh(mesiConfig()));
-}
-
-TEST(CoherenceEngine, MsiSparseDirectoryIdenticalAcrossSimThreads) {
-  MachineConfig C = smallMesh(msiConfig());
-  C.Coherence.SparseDirectory = true;
-  C.Coherence.SparseEntries = 64;
-  checkCoherentAcrossSimThreads("swim", C);
-}
-
-TEST(CoherenceEngine, MsiPageInterleaveIdenticalAcrossSimThreads) {
-  // Page granularity adds shared VM state to the protocol path; the
-  // replica fast path must stay off under coherence.
-  MachineConfig C = smallMesh(msiConfig());
-  C.Granularity = InterleaveGranularity::Page;
-  checkCoherentAcrossSimThreads("swim", C);
 }
 
 //===----------------------------------------------------------------------===//

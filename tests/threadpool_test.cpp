@@ -86,8 +86,15 @@ TEST(ThreadPoolTest, ConcurrentExceptionsStayDistinct) {
 }
 
 TEST(ThreadPoolTest, NonStdExceptionPropagates) {
-  ThreadPool Pool(1);
-  auto F = Pool.submit([] { throw 42; });
+  // The pool is joined before get(): otherwise the worker may drop the last
+  // reference to the thrown int after the handler below has read it, and
+  // ThreadSanitizer cannot see the (uninstrumented) libstdc++ atomic
+  // refcount that orders the two, so it reports a race that is not there.
+  std::future<void> F;
+  {
+    ThreadPool Pool(1);
+    F = Pool.submit([] { throw 42; });
+  }
   try {
     F.get();
     FAIL() << "expected the int to propagate";

@@ -4,10 +4,9 @@
 ///
 ///  1. Observation does not perturb: a traced run produces a SimResult
 ///     identical to the untraced run, field for field, on every config axis.
-///  2. Trace output is engine-invariant: the rendered trace.json and
-///     series.csv bytes are identical between the serial loop and the
-///     parallel engine at any --sim-threads value, even when the per-node
-///     event rings overflow and drop.
+///  2. Trace output is deterministic: the rendered trace.json and
+///     series.csv bytes are identical from run to run, even when the
+///     per-node event rings overflow and drop.
 ///
 /// Plus the exporter contracts: the CSV dump round-trips through its parser,
 /// and the re-derived node->MC traffic table matches SimResult exactly.
@@ -29,8 +28,8 @@ using namespace offchip;
 
 namespace {
 
-/// Exact equality over the full SimResult (the parallel-engine contract,
-/// reused here to pin "tracing observes, never perturbs").
+/// Exact equality over the full SimResult (pins "tracing observes, never
+/// perturbs").
 void expectIdentical(const SimResult &A, const SimResult &B) {
   EXPECT_EQ(A.ExecutionCycles, B.ExecutionCycles);
   EXPECT_EQ(A.ThreadFinishCycles, B.ThreadFinishCycles);
@@ -92,8 +91,8 @@ SimResult runTraced(const AppModel &App, MachineConfig Config,
 }
 
 /// Tracing must not change a single simulated number, on any config axis:
-/// the serial fast path, the merger-routed page path, shared L2, the
-/// optimized variant, and the parallel engine.
+/// the local-L2 fast path, the translated page path, shared L2 and the
+/// optimized variant.
 void checkUnperturbed(const char *AppName, MachineConfig Config,
                       RunVariant Variant) {
   AppModel App = buildApp(AppName, /*SizeScale=*/0.1);
@@ -103,8 +102,7 @@ void checkUnperturbed(const char *AppName, MachineConfig Config,
   SimResult Traced = runTraced(App, Config, Variant);
   ASSERT_NE(Traced.Trace, nullptr);
   EXPECT_GT(Traced.Trace->EmittedEvents, 0u);
-  SCOPED_TRACE(testing::Message()
-               << AppName << " SimThreads=" << Config.SimThreads);
+  SCOPED_TRACE(AppName);
   expectIdentical(Plain, Traced);
 }
 
@@ -135,73 +133,41 @@ TEST(Trace, UnperturbedOptimalScheme) {
   checkUnperturbed("wupwise", C, RunVariant::Optimized);
 }
 
-TEST(Trace, UnperturbedParallelEngine) {
+TEST(Trace, UnperturbedCoherence) {
   MachineConfig C = smallConfig();
-  C.Granularity = InterleaveGranularity::Page;
-  C.SimThreads = 4;
+  C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
   checkUnperturbed("swim", C, RunVariant::Original);
 }
 
-// The tentpole property: the exported bytes — both trace.json and
-// series.csv — are identical for any --sim-threads value, because every
-// event carries its access key and the export stable-sorts by it.
-TEST(Trace, ExportBytesIdenticalAcrossSimThreads) {
-  MachineConfig C = smallConfig();
-  C.Granularity = InterleaveGranularity::Page;
-  AppModel App = buildApp("swim", 0.1);
-
-  C.SimThreads = 1;
-  SimResult Serial = runTraced(App, C, RunVariant::Original);
-  ASSERT_NE(Serial.Trace, nullptr);
-  std::string SerialJson = renderChromeTrace(*Serial.Trace);
-  std::string SerialCsv = renderTimeSeriesCsv(*Serial.Trace);
-
-  for (unsigned N : {2u, 3u, 8u}) {
-    C.SimThreads = N;
-    SimResult Parallel = runTraced(App, C, RunVariant::Original);
-    ASSERT_NE(Parallel.Trace, nullptr);
-    SCOPED_TRACE(testing::Message() << "SimThreads=" << N);
-    EXPECT_EQ(Serial.Trace->Events.size(), Parallel.Trace->Events.size());
-    EXPECT_EQ(Serial.Trace->EmittedEvents, Parallel.Trace->EmittedEvents);
-    EXPECT_EQ(Serial.Trace->DroppedEvents, Parallel.Trace->DroppedEvents);
-    EXPECT_EQ(SerialJson, renderChromeTrace(*Parallel.Trace));
-    EXPECT_EQ(SerialCsv, renderTimeSeriesCsv(*Parallel.Trace));
-  }
-}
-
 // Byte-identity must survive ring overflow: with a tiny per-node cap the
-// drops are a pure function of each node's event sequence, so capped
-// traces still match across engines.
+// drops are a pure function of each node's event sequence, so two capped
+// runs export the same bytes.
 TEST(Trace, RingCapDropsAreDeterministic) {
   MachineConfig C = smallConfig();
   AppModel App = buildApp("mgrid", 0.1);
 
-  C.SimThreads = 1;
   C.Trace.Enabled = true;
   C.Trace.MaxEventsPerNode = 64;
   ClusterMapping M = makeM1Mapping(C);
-  SimResult Serial = runVariant(App, C, M, RunVariant::Original);
-  ASSERT_NE(Serial.Trace, nullptr);
-  EXPECT_GT(Serial.Trace->DroppedEvents, 0u);
-  EXPECT_LE(Serial.Trace->Events.size(),
+  SimResult First = runVariant(App, C, M, RunVariant::Original);
+  ASSERT_NE(First.Trace, nullptr);
+  EXPECT_GT(First.Trace->DroppedEvents, 0u);
+  EXPECT_LE(First.Trace->Events.size(),
             static_cast<std::size_t>(64) * C.numNodes());
-  EXPECT_EQ(Serial.Trace->EmittedEvents,
-            Serial.Trace->Events.size() + Serial.Trace->DroppedEvents);
+  EXPECT_EQ(First.Trace->EmittedEvents,
+            First.Trace->Events.size() + First.Trace->DroppedEvents);
 
-  std::string SerialJson = renderChromeTrace(*Serial.Trace);
-  std::string SerialCsv = renderTimeSeriesCsv(*Serial.Trace);
-  for (unsigned N : {2u, 8u}) {
-    C.SimThreads = N;
-    SimResult Parallel = runVariant(App, C, M, RunVariant::Original);
-    ASSERT_NE(Parallel.Trace, nullptr);
-    SCOPED_TRACE(testing::Message() << "SimThreads=" << N);
-    EXPECT_EQ(SerialJson, renderChromeTrace(*Parallel.Trace));
-    EXPECT_EQ(SerialCsv, renderTimeSeriesCsv(*Parallel.Trace));
-  }
+  SimResult Second = runVariant(App, C, M, RunVariant::Original);
+  ASSERT_NE(Second.Trace, nullptr);
+  EXPECT_EQ(First.Trace->DroppedEvents, Second.Trace->DroppedEvents);
+  EXPECT_EQ(renderChromeTrace(*First.Trace),
+            renderChromeTrace(*Second.Trace));
+  EXPECT_EQ(renderTimeSeriesCsv(*First.Trace),
+            renderTimeSeriesCsv(*Second.Trace));
 }
 
 // The trace-side traffic table is re-derived independently (counted at
-// emitShared) and must agree exactly with the engine's own Figure 13 map.
+// TraceSink::emit) and must agree exactly with the engine's own Figure 13 map.
 // The aggregate tables ignore the ring cap, so this holds even when the
 // event list is truncated.
 TEST(Trace, TrafficTableMatchesSimResult) {

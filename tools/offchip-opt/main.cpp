@@ -108,16 +108,6 @@ int main(int Argc, char **Argv) {
                "run original vs optimized on the scaled machine");
   Options.value("--jobs", &Jobs,
                 "worker threads for --simulate (0 = all cores)");
-  Options.value("--sim-threads", &Config.SimThreads,
-                "host threads inside each simulation (default 1 = serial "
-                "engine; results are bit-identical for any value)");
-  Options.value("--sim-window-batch", &Config.SimWindowBatch,
-                "events/resumes per parallel-engine mailbox publish "
-                "(default 1 = publish immediately; bit-identical)");
-  Options.value("--sim-replica-epochs", &Config.SimReplicaEpochs,
-                "staleness bound of the workers' shard-local translation "
-                "replicas, in merger windows (default 0 = off; "
-                "bit-identical)");
   Options.flag("--burst-coalesce", &Config.Burst.Enabled,
                "coalesce runs of adjacent off-chip lines into wide DRAM "
                "transactions (default off)");
