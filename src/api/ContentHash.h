@@ -6,15 +6,20 @@
 /// Two requests get the same key exactly when the simulator is guaranteed
 /// to produce identical results for them, so:
 ///
-///   - every result-affecting field is hashed, each behind a distinct field
-///     tag (so field values can never alias across fields);
-///   - result-invariant execution knobs — tracing, invariant checking,
-///     phase timers, the client id — are deliberately NOT hashed, letting
-///     e.g. a traced request reuse a cached untraced result.
+///   - the config part walks the same field list as the wire format
+///     (api/Fields.h) and hashes every keyed field as its wire name plus
+///     its value, so a field on the wire cannot be missing from the key and
+///     values can never alias across fields;
+///   - result-invariant execution knobs are deliberately NOT hashed: the
+///     client id, the trace prefix, the in-process Trace and
+///     CollectPhaseTimes knobs, and check_invariants (the one such knob on
+///     the wire, marked NotKeyed in the list). A traced or checked request
+///     therefore reuses a cached plain result.
 ///
-/// The hash is two independently-seeded FNV-1a-64 streams over the same
-/// canonical bytes; 128 bits keeps accidental collisions out of reach of
-/// any realistic cache population.
+/// The fields are hashed directly, not their JSON text, so a key costs no
+/// serialization. The hash is two independently-seeded FNV-1a-64 streams
+/// over the same canonical bytes; 128 bits keeps accidental collisions out
+/// of reach of any realistic cache population.
 ///
 //===----------------------------------------------------------------------===//
 

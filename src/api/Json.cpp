@@ -119,7 +119,7 @@ void JsonValue::set(std::string Key, JsonValue V) {
   Members.emplace_back(std::move(Key), std::move(V));
 }
 
-const JsonValue *JsonValue::find(const std::string &Key) const {
+const JsonValue *JsonValue::find(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;
   for (const auto &M : Members)

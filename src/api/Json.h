@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,7 +73,7 @@ public:
   // Objects (insertion-ordered).
   void set(std::string Key, JsonValue V);
   /// Member lookup; nullptr when absent.
-  const JsonValue *find(const std::string &Key) const;
+  const JsonValue *find(std::string_view Key) const;
   const std::vector<std::pair<std::string, JsonValue>> &members() const {
     return Members;
   }

@@ -61,10 +61,11 @@ struct SimRequest {
   RequestKind Kind = RequestKind::Simulate;
   WorkloadSpec Workload;
 
-  /// The machine to optimize for / simulate on. Result-invariant knobs
-  /// (Trace, CheckInvariants, CollectPhaseTimes) are excluded from the
-  /// content hash, so e.g. a traced request hits the cache entry an
-  /// untraced request populated.
+  /// The machine to optimize for / simulate on. Its wire form and its part
+  /// of the content hash both walk the field list in api/Fields.h. Trace
+  /// and CollectPhaseTimes are in neither; CheckInvariants is on the wire
+  /// but not hashed. So e.g. a traced or checked request hits the cache
+  /// entry a plain request populated.
   MachineConfig Config = MachineConfig::scaledDefault();
 
   /// 1 selects the M1 mapping (one MC per cluster, Figure 8a); >1 the

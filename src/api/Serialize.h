@@ -13,12 +13,16 @@
 ///   {"id":"r1","status":"error","error":"...","diagnostics":[...]}
 ///   {"id":"r1","status":"overloaded"}
 ///
-/// Config objects are partial: absent fields keep MachineConfig
-/// scaledDefault() values, unknown keys are rejected (the same philosophy
-/// as the CLI's strict option parsing — a typo must not silently simulate
-/// a different machine). SimResult serialization covers every field
-/// equalResults() compares, with exact integer and %.17g double tokens, so
-/// a result survives the wire bit-identically.
+/// MachineConfig and SimResult are encoded by walking their field lists in
+/// api/Fields.h, one wire key per field. Config objects are partial: absent
+/// fields keep the caller's base values (MachineConfig scaledDefault() for
+/// requests), and unknown keys are rejected (the same philosophy as the
+/// CLI's strict option parsing — a typo must not silently simulate a
+/// different machine). Result objects are complete: every key is required.
+/// They cover every field equalResults() compares, with exact integer and
+/// %.17g double tokens, so a result survives the wire bit-identically.
+/// Integer fields accept digits only; a sign, fraction or exponent is an
+/// error naming the key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +38,8 @@ namespace offchip {
 // Machine config
 //===----------------------------------------------------------------------===//
 
-/// Full encoding (every supported key, current values).
+/// Full encoding: every key of the field list, current values (mc_nodes
+/// only under an explicit placement).
 JsonValue toJson(const MachineConfig &C);
 
 /// Applies a (partial) config object onto \p C. Unknown keys, wrong types

@@ -239,48 +239,10 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
                        MachineConfig MachineCfg)
     : Id(std::move(IdText)), Claim(std::move(ClaimText)),
       Config(std::move(MachineCfg)),
-      Parser("bench", "Reproduces: " + Claim),
+      Parser("bench", "Reproduces: " + Claim), Scenario(Parser, Config),
       AppFilter(appNames()) {
   Parser.value("--jobs", &JobsSetting,
                "parallel simulation jobs (default: one per hardware thread)");
-  Parser.flag("--burst-coalesce", &BurstRequested,
-              "coalesce runs of adjacent off-chip lines into wide DRAM "
-              "transactions (default off)");
-  Parser.custom("--coherence", "<msi|mesi>",
-                [this](const std::string &V) {
-                  if (V != "msi" && V != "mesi")
-                    return false;
-                  CoherenceArg = V;
-                  return true;
-                },
-                "model an invalidation-based coherence protocol over the "
-                "private-L2 machine (default off)");
-  Parser.value("--sparse-dir", &SparseDirSetting,
-               "bound the coherence directory to N tracked lines, evicting "
-               "by broadcast-invalidate (default 0 = unbounded; needs "
-               "--coherence)");
-  Parser.custom("--placement", "<kind>",
-                [this](const std::string &V) {
-                  if (std::optional<ConfigDiagnostic> D =
-                          parsePlacementOption(V, &Config.Placement)) {
-                    FlagDiags.push_back(std::move(*D));
-                    return false;
-                  }
-                  return true;
-                },
-                std::string("MC placement kind: ") + mcPlacementNames());
-  Parser.custom("--mc-nodes", "<n0,n1,...>",
-                [this](const std::string &V) {
-                  if (std::optional<ConfigDiagnostic> D =
-                          parseMCNodeListOption(V, &Config.MCNodes)) {
-                    FlagDiags.push_back(std::move(*D));
-                    return false;
-                  }
-                  Config.Placement = MCPlacementKind::Explicit;
-                  return true;
-                },
-                "explicit MC node ids, one per MC in interleave order "
-                "(implies --placement explicit)");
   Parser.flag("--trace", &TraceRequested,
               "record a per-request trace for every simulation (writes "
               "<prefix>.run<K>.trace.json and .series.csv; see --trace-out)");
@@ -305,23 +267,8 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
 BenchSuite::~BenchSuite() { finish(); }
 
 std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Parser.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    // A structured flag diagnostic (bad --placement/--mc-nodes) beats the
-    // generic bad-value message.
-    if (!FlagDiags.empty()) {
-      std::fprintf(stderr, "%s\n", renderDiagnostics(FlagDiags).c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Parser.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Exit = Scenario.parse(Argc, Argv))
+    return Exit;
   if (AppsGiven) {
     const std::vector<std::string> &Known = appNames();
     std::vector<std::string> Filter;
@@ -350,20 +297,6 @@ std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
   if (CsvRequested && JsonRequested) {
     std::fprintf(stderr, "error: --csv and --json are mutually exclusive\n");
     return 2;
-  }
-  if (BurstRequested)
-    Config.Burst.Enabled = true;
-  if (!CoherenceArg.empty())
-    Config.Coherence.Protocol = CoherenceArg == "mesi"
-                                    ? MachineConfig::CoherenceProtocol::MESI
-                                    : MachineConfig::CoherenceProtocol::MSI;
-  if (SparseDirSetting != 0) {
-    if (!Config.Coherence.enabled()) {
-      std::fprintf(stderr, "error: --sparse-dir requires --coherence\n");
-      return 2;
-    }
-    Config.Coherence.SparseDirectory = true;
-    Config.Coherence.SparseEntries = SparseDirSetting;
   }
   if (TraceRequested) {
     Config.Trace.Enabled = true;

@@ -34,6 +34,7 @@
 #define OFFCHIP_HARNESS_BENCHSUITE_H
 
 #include "harness/Runner.h"
+#include "harness/ScenarioFlags.h"
 #include "support/Options.h"
 
 #include <map>
@@ -115,8 +116,8 @@ public:
   /// Registry for extra per-bench flags; register before parseArgs().
   OptionsParser &options() { return Parser; }
 
-  /// Parses the common bench flag set: --jobs N, --burst-coalesce,
-  /// --coherence, --sparse-dir, --placement, --csv, --json, --apps a,b,c,
+  /// Parses the common bench flag set: --jobs N, the scenario flags of
+  /// harness/ScenarioFlags.h, --csv, --json, --apps a,b,c,
   /// the tracing flags (--trace, --trace-out, --trace-sample-cycles,
   /// --trace-max-events) and --help. \returns an exit code when the
   /// process should stop (bad flags: 2, --help: 0),
@@ -217,10 +218,11 @@ private:
   MachineConfig Config;
   OptionsParser Parser;
 
+  /// --burst-coalesce, --coherence, --sparse-dir, --placement and
+  /// --mc-nodes, written straight into Config.
+  ScenarioFlags Scenario;
+
   unsigned JobsSetting = 0; // 0 = hardware threads
-  bool BurstRequested = false;
-  std::string CoherenceArg;       // empty = keep the config's protocol
-  unsigned SparseDirSetting = 0;  // 0 = full directory (no sparse bound)
   bool TraceRequested = false;
   std::string TraceOutPrefix = "trace";
   unsigned TraceSampleCycles = 0;   // 0 = TraceConfig default
@@ -228,9 +230,6 @@ private:
   unsigned TraceRunCounter = 0;
   bool CsvRequested = false;
   bool JsonRequested = false;
-  /// Structured diagnostics recorded by the --placement/--mc-nodes parse
-  /// lambdas; parseArgs prefers them over the generic bad-value error.
-  std::vector<ConfigDiagnostic> FlagDiags;
   std::string AppsArg;
   bool AppsGiven = false;
   std::vector<std::string> AppFilter;

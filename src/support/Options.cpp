@@ -18,28 +18,25 @@ void OptionsParser::flag(const std::string &Name, bool *Out,
   Specs.push_back(std::move(S));
 }
 
+bool offchip::parseUnsigned(const std::string &Text, unsigned *Out) {
+  if (Text.empty())
+    return false;
+  unsigned long long Parsed = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    Parsed = Parsed * 10 + static_cast<unsigned>(C - '0');
+    if (Parsed > 0xFFFFFFFFull)
+      return false;
+  }
+  *Out = static_cast<unsigned>(Parsed);
+  return true;
+}
+
 void OptionsParser::value(const std::string &Name, unsigned *Out,
                           const std::string &Help) {
-  // Hand-rolled digits-only parse. strtoul is the wrong contract here: it
-  // wraps "-1" to ULONG_MAX, saturates out-of-range values instead of
-  // failing, and skips leading whitespace — all of which silently turn user
-  // typos into huge thread/MC counts.
   custom(Name, "<N>",
-         [Out](const std::string &V) {
-           if (V.empty())
-             return false;
-           unsigned long long Parsed = 0;
-           for (char C : V) {
-             if (C < '0' || C > '9')
-               return false;
-             Parsed = Parsed * 10 + static_cast<unsigned>(C - '0');
-             if (Parsed > 0xFFFFFFFFull)
-               return false;
-           }
-           *Out = static_cast<unsigned>(Parsed);
-           return true;
-         },
-         Help);
+         [Out](const std::string &V) { return parseUnsigned(V, Out); }, Help);
 }
 
 void OptionsParser::value(const std::string &Name, std::string *Out,

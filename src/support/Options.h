@@ -18,6 +18,13 @@
 
 namespace offchip {
 
+/// Strict unsigned parse shared by every numeric flag: decimal digits only,
+/// at most 32 bits. strtoul is the wrong contract for flags: it wraps "-1"
+/// to ULONG_MAX, saturates out-of-range values instead of failing, and
+/// skips leading whitespace and trailing junk, all of which silently turn
+/// typos into huge counts.
+bool parseUnsigned(const std::string &Text, unsigned *Out);
+
 class OptionsParser {
 public:
   /// \param Tool     binary name for the usage line

@@ -14,12 +14,14 @@
 #include "api/ResultCache.h"
 #include "api/Serialize.h"
 #include "api/Service.h"
+#include "support/Format.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <random>
 #include <thread>
 
 using namespace offchip;
@@ -51,12 +53,12 @@ TEST(ContentHash, StableAcrossProcesses) {
   // The cache key of a canonical request is part of the wire contract: if
   // this value drifts, every deployed cache goes cold and the protocol's
   // "key" field changes meaning. Update only with a protocol bump (last:
-  // the explicit MC placement node list joined the hashed config surface,
-  // tags 0x47/0x48).
+  // the key became a walk of the wire field list, hashing each field's
+  // wire name with its value, and the legacy engine keys were dropped).
   SimRequest R;
   R.Kind = RequestKind::Simulate;
   R.Workload.App = "swim";
-  EXPECT_EQ(requestKey(R).str(), "d5fa66e9711c8e0a73006d9652340ab9");
+  EXPECT_EQ(requestKey(R).str(), "83ebad93f7b0833ac2645e3e8b12b2c7");
 }
 
 TEST(ContentHash, IdAndExecutionKnobsExcluded) {
@@ -349,6 +351,207 @@ TEST(Serialize, ResponseRoundtripEveryVariant) {
   EXPECT_EQ(writeResponseLine(Back), writeResponseLine(Ok));
 }
 
+// Results of scenarios whose burst, coherence and VM counters are non-zero,
+// so a field-list entry bound to the wrong member (or missing) cannot hide
+// behind a zero that both sides agree on.
+TEST(Serialize, ResultRoundtripWithEveryScenarioCounterSet) {
+  auto run = [](void (*Setup)(MachineConfig &)) {
+    SimRequest R;
+    R.Workload.App = "mgrid";
+    R.Workload.SizeScale = 0.25;
+    Setup(R.Config);
+    SimResponse Resp = executeRequest(R);
+    EXPECT_TRUE(Resp.ok()) << Resp.ErrorText;
+    return Resp.ok() ? *Resp.Original : SimResult();
+  };
+  SimResult Msi = run([](MachineConfig &C) {
+    C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
+    C.Coherence.SparseDirectory = true;
+    C.Coherence.SparseEntries = 256;
+  });
+  EXPECT_GT(Msi.CoherenceUpgrades, 0u);
+  EXPECT_GT(Msi.Invalidations, 0u);
+  EXPECT_GT(Msi.InvalidationAcks, 0u);
+  EXPECT_GT(Msi.Downgrades, 0u);
+  EXPECT_GT(Msi.CoherenceWritebacks, 0u);
+  EXPECT_GT(Msi.DirEvictions, 0u);
+  EXPECT_GT(Msi.CohMsgHops.total(), 0u);
+
+  SimResult Burst = run([](MachineConfig &C) { C.Burst.Enabled = true; });
+  EXPECT_GT(Burst.BurstTransactions, 0u);
+  EXPECT_GT(Burst.BurstLines, 0u);
+  EXPECT_FALSE(Burst.PerMCLines.empty());
+
+  SimResult Page = run([](MachineConfig &C) {
+    C.Granularity = InterleaveGranularity::Page;
+    C.PagePolicy = PageAllocPolicy::FirstTouch;
+  });
+  EXPECT_GT(Page.AllocatedPages, 0u);
+
+  for (const SimResult *R : {&Msi, &Burst, &Page}) {
+    EXPECT_GT(R->LinkBusyCycles, 0u);
+    std::string Line = toJson(*R).write();
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(Line, &Err);
+    ASSERT_TRUE(V.has_value()) << Err;
+    SimResult Back;
+    ASSERT_TRUE(simResultFromJson(*V, &Back, &Err)) << Err;
+    std::string Why;
+    EXPECT_TRUE(equalResults(Back, *R, &Why)) << Why;
+    EXPECT_EQ(toJson(Back).write(), Line);
+  }
+}
+
+TEST(Serialize, ResultRequiresEveryKey) {
+  std::string Line = toJson(SimResult()).write();
+  for (const char *Key : {"burst_lines", "dir_evictions", "link_busy_cycles"}) {
+    std::string Cut = Line;
+    std::size_t Pos = Cut.find(formatString("\"%s\":", Key));
+    ASSERT_NE(Pos, std::string::npos) << Key;
+    Cut[Pos + 1] = 'X'; // rename the key away
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(Cut, &Err);
+    ASSERT_TRUE(V.has_value()) << Err;
+    SimResult Back;
+    EXPECT_FALSE(simResultFromJson(*V, &Back, &Err));
+    EXPECT_NE(Err.find(Key), std::string::npos) << Err;
+  }
+}
+
+// Integer fields take digits only and doubles must be finite: a sign,
+// fraction or exponent would otherwise wrap or truncate into a different
+// machine, and an overflowing double would be written back as 0.
+TEST(Serialize, NumbersMustFitTheirField) {
+  auto reject = [](const std::string &Field, const std::string &Token,
+                   const char *Key) {
+    std::string Text = formatString(
+        "{\"method\":\"simulate\",\"app\":\"swim\",%s}",
+        Field.c_str());
+    Text.replace(Text.find("@"), 1, Token);
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(Text, &Err);
+    ASSERT_TRUE(V.has_value()) << Err;
+    SimRequest R;
+    EXPECT_FALSE(requestFromJson(*V, &R, &Err)) << Text;
+    EXPECT_NE(Err.find(Key), std::string::npos) << Err;
+  };
+  for (const char *Token : {"-1", "4.5", "1e1", "4294967296",
+                            "99999999999999999999"})
+    reject("\"config\":{\"mesh_x\":@}", Token, "mesh_x");
+  reject("\"config\":{\"l2_size_bytes\":@}", "18446744073709551616",
+         "l2_size_bytes");
+  reject("\"scale\":@", "1e999", "scale");
+}
+
+// The config keys of the removed in-simulation parallel engine are gone
+// from the wire: a request that still carries one is rejected like any
+// other unknown key, naming it.
+TEST(Serialize, LegacyEngineWireKeysAreRejected) {
+  std::string Line = writeRequestLine(tinySimulate());
+  EXPECT_EQ(Line.find("sim_"), std::string::npos) << Line;
+  for (const char *Key :
+       {"sim_threads", "sim_window_batch", "sim_replica_epochs"}) {
+    std::string Bad = Line;
+    std::size_t Pos = Bad.find("\"config\":{");
+    ASSERT_NE(Pos, std::string::npos);
+    Bad.insert(Pos + 10, formatString("\"%s\":1,", Key));
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(Bad, &Err);
+    ASSERT_TRUE(V.has_value()) << Err;
+    SimRequest R;
+    EXPECT_FALSE(requestFromJson(*V, &R, &Err));
+    EXPECT_NE(Err.find(Key), std::string::npos) << Err;
+    EXPECT_NE(Err.find("unknown"), std::string::npos) << Err;
+  }
+}
+
+// The request reader parses network input: seeded truncations, byte flips
+// and value-type swaps of a valid line must each parse, or fail with an
+// error (naming a key once the JSON itself is well formed), never crash.
+// A mutated line that parses must re-serialize to a request with the same
+// key.
+TEST(Serialize, RequestReaderSurvivesMutations) {
+  SimRequest Base;
+  Base.Id = "m1";
+  Base.Workload.App = "swim";
+  Base.Workload.SizeScale = 0.5;
+  Base.MCsPerCluster = 2;
+  Base.Config.Placement = MCPlacementKind::Explicit;
+  Base.Config.MCNodes = {0, 7, 56, 63};
+  const std::string Line = writeRequestLine(Base);
+  std::optional<JsonValue> Valid = parseJson(Line);
+  ASSERT_TRUE(Valid.has_value());
+
+  const std::vector<JsonValue> Swaps = {
+      JsonValue::null(),          JsonValue::boolean(true),
+      JsonValue::string("x"),     JsonValue::array(),
+      JsonValue::object(),        JsonValue::rawNumber("-1"),
+      JsonValue::rawNumber("1.5"), JsonValue::rawNumber("1e999"),
+      JsonValue::rawNumber("0"),  JsonValue::rawNumber("4294967296"),
+      JsonValue::rawNumber("99999999999999999999")};
+  // Replaces one member value (top level or inside "config") with a value
+  // of another type.
+  auto swapValue = [&](std::mt19937 &Rng) {
+    JsonValue Req = *Valid;
+    JsonValue Config = *Req.find("config");
+    bool InConfig = Rng() % 2 == 0;
+    JsonValue &Obj = InConfig ? Config : Req;
+    std::string Key = Obj.members()[Rng() % Obj.members().size()].first;
+    Obj.set(Key, Swaps[Rng() % Swaps.size()]);
+    if (InConfig)
+      Req.set("config", Config);
+    return Req.write();
+  };
+
+  std::mt19937 Rng(20261017);
+  unsigned Parsed = 0, Rejected = 0;
+  for (unsigned Trial = 0; Trial < 3000; ++Trial) {
+    std::string Mutated = Line;
+    switch (Trial % 3) {
+    case 0:
+      Mutated.resize(Rng() % Line.size());
+      break;
+    case 1:
+      Mutated[Rng() % Line.size()] = static_cast<char>(Rng() % 256);
+      break;
+    case 2:
+      Mutated = swapValue(Rng);
+      break;
+    }
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(Mutated, &Err);
+    if (!V) {
+      EXPECT_FALSE(Err.empty()) << Mutated;
+      continue;
+    }
+    SimRequest R;
+    if (!requestFromJson(*V, &R, &Err)) {
+      ++Rejected;
+      // "field '<key>': <what>", with a key the request has or must have.
+      ASSERT_EQ(Err.rfind("field '", 0), 0u) << Err;
+      std::size_t End = Err.find("': ", 7);
+      ASSERT_NE(End, std::string::npos) << Err;
+      std::string Key = Err.substr(7, End - 7);
+      EXPECT_FALSE(Key.empty()) << Err;
+      EXPECT_LT(End + 3, Err.size()) << Err;
+      const JsonValue *Config = V->find("config");
+      EXPECT_TRUE(V->find(Key) || (Config && Config->find(Key)) ||
+                  Key == "method" || Key == "app")
+          << Err << "\n" << Mutated;
+      continue;
+    }
+    ++Parsed;
+    SimRequest Again;
+    std::optional<JsonValue> Re = parseJson(writeRequestLine(R), &Err);
+    ASSERT_TRUE(Re.has_value()) << Err;
+    ASSERT_TRUE(requestFromJson(*Re, &Again, &Err)) << Err;
+    EXPECT_EQ(requestKey(Again), requestKey(R)) << Mutated;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(Parsed, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
 TEST(Json, ExactNumberTokens) {
   // u64 beyond 2^53 and doubles must survive bit-exactly.
   std::string Err;
@@ -472,50 +675,6 @@ TEST(Service, ServedEqualsDirectAndSecondCallHits) {
   EXPECT_EQ(S.Completed, 2u);
   EXPECT_EQ(S.Cache.Hits, 1u);
   EXPECT_EQ(S.Cache.Misses, 1u);
-}
-
-// The config keys of the removed in-simulation parallel engine stay on the
-// wire as legacy fields until the next protocol bump: a request line that
-// still carries them (at non-default values) must parse, share the default
-// request's cache key and entry, and get the same result bytes back.
-TEST(Service, LegacyEngineWireKeysAreAcceptedAndIgnored) {
-  SimRequest Default = tinySimulate();
-  std::string Line = writeRequestLine(Default);
-  const std::string Old =
-      "\"sim_threads\":1,\"sim_window_batch\":1,\"sim_replica_epochs\":0";
-  std::size_t Pos = Line.find(Old);
-  ASSERT_NE(Pos, std::string::npos) << Line;
-  Line.replace(Pos, Old.size(),
-               "\"sim_threads\":8,\"sim_window_batch\":256,"
-               "\"sim_replica_epochs\":4");
-
-  std::string Err;
-  std::optional<JsonValue> V = parseJson(Line, &Err);
-  ASSERT_TRUE(V.has_value()) << Err;
-  SimRequest Legacy;
-  ASSERT_TRUE(requestFromJson(*V, &Legacy, &Err)) << Err;
-  EXPECT_EQ(requestKey(Legacy), requestKey(Default));
-  EXPECT_EQ(writeRequestLine(Legacy), writeRequestLine(Default));
-
-  SimService Service({1, 8, 8});
-  SimResponse First = Service.call(Default);
-  SimResponse Second = Service.call(Legacy);
-  ASSERT_TRUE(First.ok());
-  ASSERT_TRUE(Second.ok());
-  EXPECT_FALSE(First.CacheHit);
-  EXPECT_TRUE(Second.CacheHit);
-  EXPECT_EQ(Second.Key, First.Key);
-  EXPECT_EQ(toJson(*Second.Original).write(), toJson(*First.Original).write());
-  EXPECT_EQ(toJson(*Second.Optimized).write(),
-            toJson(*First.Optimized).write());
-
-  // Still type-checked: a non-integer value is a request error.
-  std::string Bad = Line;
-  Bad.replace(Bad.find("\"sim_threads\":8"), 15, "\"sim_threads\":\"8\"");
-  V = parseJson(Bad, &Err);
-  ASSERT_TRUE(V.has_value()) << Err;
-  EXPECT_FALSE(requestFromJson(*V, &Legacy, &Err));
-  EXPECT_NE(Err.find("sim_threads"), std::string::npos) << Err;
 }
 
 TEST(Service, ErrorResponsesAreNotCached) {

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/BenchSuite.h"
+#include "harness/ScenarioFlags.h"
 #include "support/Format.h"
 #include "support/Options.h"
 #include "support/Random.h"
@@ -258,17 +259,7 @@ int main(int Argc, char **Argv) {
   OptionsParser Options("placement-opt",
                         "joint MC-placement x layout search over the "
                         "paper's application models");
-  Options.custom("--mesh", "<X>x<Y>",
-                 [&](const std::string &V) {
-                   unsigned X = 0, Y = 0;
-                   if (std::sscanf(V.c_str(), "%ux%u", &X, &Y) != 2 ||
-                       X == 0 || Y == 0)
-                     return false;
-                   Opt.Base.MeshX = X;
-                   Opt.Base.MeshY = Y;
-                   return true;
-                 },
-                 "mesh size (default 8x8)");
+  addMeshFlag(Options, Opt.Base);
   Options.value("--mcs", &Opt.Base.NumMCs, "memory controllers (default 4)");
   Options.value("--mcs-per-cluster", &Opt.MCsPerCluster,
                 "MCs per cluster, mapping M2 style; > 1 adds the "
