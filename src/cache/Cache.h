@@ -63,25 +63,18 @@ public:
   /// Drops the line if resident. \returns true if it was present.
   bool invalidate(std::uint64_t LineAddr);
 
-  /// Sets the dirty bit without touching LRU or hit/miss statistics; used
-  /// when an upper-level writeback lands in this cache. \returns true if
-  /// the line was resident.
+  /// Sets the dirty bit without touching LRU; used when an upper-level
+  /// writeback lands in this cache. \returns true if the line was resident.
   bool markDirty(std::uint64_t LineAddr);
 
-  /// Protocol state of \p LineAddr, or -1 when not resident. No LRU or
-  /// statistics side effects.
+  /// Protocol state of \p LineAddr, or -1 when not resident. No LRU side
+  /// effects.
   int stateOf(std::uint64_t LineAddr) const;
 
-  /// Sets the protocol state of \p LineAddr without touching LRU or
-  /// statistics (a remote downgrade/upgrade is not an access by this node).
+  /// Sets the protocol state of \p LineAddr without touching LRU (a remote
+  /// downgrade/upgrade is not an access by this node).
   /// \returns true if the line was resident.
   bool setState(std::uint64_t LineAddr, LineState State);
-
-  std::uint64_t hits() const { return Hits; }
-  std::uint64_t misses() const { return Misses; }
-
-  /// Number of currently resident lines.
-  std::uint64_t residentLines() const;
 
   /// Invokes \p Fn(LineAddr) for every resident line (unspecified order).
   /// Tags are full line addresses (hashed index), so residents can be
@@ -91,16 +84,6 @@ public:
       if (W.Valid)
         Fn(W.Tag);
   }
-
-  /// Invokes \p Fn(LineAddr, LineState) for every resident line; the
-  /// protocol-state cross-check of the coherence invariants (src/check).
-  template <typename FnT> void forEachLineState(FnT Fn) const {
-    for (const Way &W : Sets)
-      if (W.Valid)
-        Fn(W.Tag, W.State);
-  }
-
-  void reset();
 
 private:
   struct Way {
@@ -133,8 +116,6 @@ private:
   Pow2Divider SetDiv;
   std::vector<Way> Sets; // NumSets * Ways entries
   std::uint64_t UseClock = 0;
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
 };
 
 } // namespace offchip

@@ -76,8 +76,10 @@ public:
   const DramConfig &config() const { return Config; }
 
   /// Services the access to \p PhysAddr arriving at \p Time, advancing bank
-  /// state.
-  DramAccessResult access(std::uint64_t PhysAddr, std::uint64_t Time);
+  /// state: the one-line case of accessBurst().
+  DramAccessResult access(std::uint64_t PhysAddr, std::uint64_t Time) {
+    return accessBurst(&PhysAddr, 1, Time);
+  }
 
   /// Services a coalesced burst of \p NumAddrs line addresses (ascending,
   /// same controller) arriving at \p Time as ONE wide transaction on the
@@ -85,16 +87,9 @@ public:
   /// cost, every follower adds Timing.BurstBeatCycles while it stays in the
   /// leader's row and the full row cost on a row change. Counts one entry
   /// in accesses() (it is one transaction) and NumAddrs lines in
-  /// linesTransferred(); emits one MCEnqueue/BankService pair. \p NumAddrs
-  /// == 1 behaves exactly like access().
+  /// linesTransferred(); emits one MCEnqueue/BankService pair.
   DramAccessResult accessBurst(const std::uint64_t *Addrs,
                                unsigned NumAddrs, std::uint64_t Time);
-
-  /// Contention-free service (optimal scheme of Section 2): zero queue
-  /// latency, but the row-buffer behaviour stays realistic (tracked on a
-  /// shadow bank state so the optimal run pays hit/conflict service times
-  /// without waiting).
-  DramAccessResult accessIdeal(std::uint64_t PhysAddr, std::uint64_t Time);
 
   /// Fire-and-forget writeback: occupies the bank without a waiting
   /// requester.
@@ -102,14 +97,13 @@ public:
 
   std::uint64_t accesses() const { return Accesses; }
   std::uint64_t rowHits() const { return RowHits; }
-  /// L2 lines moved over this controller's channel: access()/accessIdeal()
-  /// add 1, accessBurst() adds its line count. Writebacks are not counted
+  /// L2 lines moved over this controller's channel: access() adds 1,
+  /// accessBurst() adds its line count. Writebacks are not counted
   /// (matching SimResult::NodeToMCTraffic, which counts requests only).
   std::uint64_t linesTransferred() const { return LinesTransferred; }
   std::uint64_t totalQueueCycles() const { return TotalQueueCycles; }
-  std::uint64_t totalServiceCycles() const { return TotalServiceCycles; }
 
-  /// Starts accumulating wall-clock time spent in access()/accessIdeal()/
+  /// Starts accumulating wall-clock time spent in access()/accessBurst()/
   /// writeback() (SimResult::PhaseTimes). Off by default: measuring reads
   /// the clock twice per request.
   void enableCallTiming() { TimeCalls = true; }
@@ -128,30 +122,30 @@ public:
   /// bank-queue occupancy metric.
   double averageQueueOccupancy(std::uint64_t Now) const;
 
-  /// Fraction of [0, Now) during which at least this controller's busiest
-  /// bank was busy; a utilization proxy.
-  double bankUtilization(std::uint64_t Now) const;
-
   /// Attaches the tracing sink; accesses must then run inside its
-  /// per-access context (Machine::access opens it). access()/accessIdeal()
+  /// per-access context (Machine::access opens it). access()/accessBurst()
   /// emit one MCEnqueue (Aux = MC id, Dur = queue-wait cycles) and one
   /// BankService (Aux = (MC id << 16) | (bank << 1) | row-hit, Dur =
   /// service cycles) event. writeback() stays silent so the traced request
   /// counts match SimResult::NodeToMCTraffic.
   void setTraceSink(TraceSink *S) { Sink = S; }
 
-  void reset();
-
 private:
   struct Bank {
     std::uint64_t BusyUntil = 0;
     /// Most-recently-served rows, front = newest (FR-FCFS window).
     std::vector<std::int64_t> RecentRows;
-    std::uint64_t BusyCycles = 0;
   };
 
   /// True (and refreshed) when \p Row is within the bank's FR-FCFS window.
   bool isRowHit(Bank &B, std::int64_t Row) const;
+
+  /// The bank step shared by reads and writebacks: waits for bank
+  /// \p BankIdx (that of \p Addrs[0]), classifies each line's row against
+  /// the FR-FCFS window (followers in the open row stream at beat rate) and
+  /// occupies the bank for the whole service.
+  DramAccessResult occupyBank(unsigned BankIdx, const std::uint64_t *Addrs,
+                              unsigned NumAddrs, std::uint64_t Time);
 
   /// XOR-folded bank index. A plain modulo would lock whole physical
   /// regions to one bank whenever the allocator hands out addresses with a
@@ -175,13 +169,10 @@ private:
   Pow2Divider RowDiv;
   Pow2Divider BankDiv;
   std::vector<Bank> Banks;
-  /// Row-state shadow used by accessIdeal().
-  std::vector<Bank> IdealBanks;
   std::uint64_t Accesses = 0;
   std::uint64_t RowHits = 0;
   std::uint64_t LinesTransferred = 0;
   std::uint64_t TotalQueueCycles = 0;
-  std::uint64_t TotalServiceCycles = 0;
   bool TimeCalls = false;
   double TimedSeconds = 0.0;
   std::uint64_t TimedCalls = 0;

@@ -86,7 +86,7 @@ std::uint64_t Network::LinkState::reserve(std::uint64_t From,
 }
 
 MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
-                            std::uint64_t Time, MsgClass Cls) {
+                            std::uint64_t Time) {
   if (Src == Dst)
     return {Time, 0, 0};
   using Clock = std::chrono::steady_clock;
@@ -141,8 +141,6 @@ MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
 
   // Tail flit trails the head by Flits - 1 cycles once pipelined.
   std::uint64_t Arrival = Cur + (Flits - 1);
-  ++Messages;
-  ++ClassCount[static_cast<unsigned>(Cls)];
   if (TimeCalls) {
     TimedSeconds += std::chrono::duration<double>(Clock::now() - T0).count();
     ++TimedCalls;
@@ -160,16 +158,6 @@ MessageResult Network::sendIdeal(unsigned Src, unsigned Dst, unsigned Bytes,
       Time + static_cast<std::uint64_t>(Hops) * Config.PerHopCycles +
       (Flits - 1);
   return {Arrival, Arrival - Time, Hops};
-}
-
-void Network::reset() {
-  for (LinkState &L : Links)
-    L.clear();
-  Messages = 0;
-  LinkBusyCycles = 0;
-  ClassCount.fill(0);
-  TimedSeconds = 0.0;
-  TimedCalls = 0;
 }
 
 bool Network::checkCalendars(std::string *Why) const {

@@ -22,7 +22,6 @@
 #include "support/Pow2.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,22 +37,6 @@ struct NocConfig {
   /// Link width in bytes; one flit per cycle per link.
   unsigned LinkBytes = 16;
 };
-
-/// Classification of a message for per-class traffic accounting. Data is
-/// the default (the pre-coherence flows carried only requests, data and
-/// writebacks and never looked at the class); coherence adds invalidation,
-/// downgrade and ack traffic that should be attributable in reports.
-enum class MsgClass : std::uint8_t {
-  Request = 0,
-  Data,
-  Writeback,
-  Invalidate,
-  Downgrade,
-  Ack,
-};
-
-/// Number of MsgClass values (for per-class counter arrays).
-inline constexpr unsigned NumMsgClasses = 6;
 
 /// Outcome of injecting one message.
 struct MessageResult {
@@ -79,10 +62,9 @@ public:
   const NocConfig &config() const { return Config; }
 
   /// Sends \p Bytes from \p Src to \p Dst at \p Time, reserving links along
-  /// the XY route. Src == Dst costs zero network cycles (and is not counted
-  /// as a message). \p Cls only affects the per-class counters.
+  /// the XY route. Src == Dst costs zero network cycles.
   MessageResult send(unsigned Src, unsigned Dst, unsigned Bytes,
-                     std::uint64_t Time, MsgClass Cls = MsgClass::Data);
+                     std::uint64_t Time);
 
   /// Tells the network that no future send() can carry a time below \p T
   /// (the simulation engine processes accesses in ready-time order, so the
@@ -98,14 +80,6 @@ public:
   MessageResult sendIdeal(unsigned Src, unsigned Dst, unsigned Bytes,
                           std::uint64_t Time) const;
 
-  /// Total messages injected through send().
-  std::uint64_t messagesSent() const { return Messages; }
-
-  /// Messages injected through send() with class \p Cls.
-  std::uint64_t classMessages(MsgClass Cls) const {
-    return ClassCount[static_cast<unsigned>(Cls)];
-  }
-
   /// Sum over links of cycles each link was reserved; a congestion proxy.
   std::uint64_t totalLinkBusyCycles() const { return LinkBusyCycles; }
 
@@ -114,7 +88,7 @@ public:
   /// clock twice per message.
   void enableCallTiming() { TimeCalls = true; }
 
-  /// Wall-clock seconds spent in send() since construction/reset; zero
+  /// Wall-clock seconds spent in send() since construction; zero
   /// unless enableCallTiming() was called. Raw accumulation — the caller
   /// subtracts the calibrated clock-read overhead (support/HostClock.h)
   /// using timedCalls().
@@ -129,9 +103,6 @@ public:
   /// NocHop event (Start = booked cycle, Dur = flits, Aux = directed link
   /// id); sendIdeal() reserves nothing and therefore traces nothing.
   void setTraceSink(TraceSink *S) { Sink = S; }
-
-  /// Forgets all link occupancy and counters.
-  void reset();
 
   /// Invariant check (src/check): every link's reservation calendar must be
   /// sorted by start, non-overlapping, and made of non-empty intervals past
@@ -165,11 +136,6 @@ private:
     /// reclaimed.
     std::uint64_t reserve(std::uint64_t From, unsigned Flits,
                           std::uint64_t Floor);
-
-    void clear() {
-      Reserved.clear();
-      Head = 0;
-    }
   };
 
   Mesh Topology;
@@ -180,9 +146,7 @@ private:
   Pow2Divider FlitDiv;
   std::vector<LinkState> Links;
   std::uint64_t Floor = 0;
-  std::uint64_t Messages = 0;
   std::uint64_t LinkBusyCycles = 0;
-  std::array<std::uint64_t, NumMsgClasses> ClassCount{};
   bool TimeCalls = false;
   double TimedSeconds = 0.0;
   std::uint64_t TimedCalls = 0;

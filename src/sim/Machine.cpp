@@ -101,28 +101,10 @@ std::uint64_t Machine::accessCoherenceFree(unsigned Node, std::uint64_t VA,
   // Accesses arrive in ready-time order; everything this one sends happens
   // at or after Time.
   Net.advanceFloor(Time);
-  std::uint64_t Done;
-  if (localL2Eligible()) {
-    // PA == VA: the MC-select bits sit below the page offset, identity map.
-    std::uint64_t T2 = T + Config.L2LatencyCycles;
-    bool L2Hit = l2ProbeLocal(Node, VA, IsWrite);
-    if (Sink)
-      Sink->emit(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
-                 Config.L2LatencyCycles, VA, Node);
-    if (L2Hit) {
-      ++R.LocalL2Hits;
-      fillL1(Node, VA, IsWrite, T2);
-      if (Sink)
-        Sink->emit(TraceKind::L1Fill, T2, 0, VA, 0);
-      return T2;
-    }
-    Done = privateMissTail(Node, VA, VA, IsWrite, T2, R, Lookahead);
-  } else {
-    std::uint64_t PA = physFor(VA, Node);
-    Done = Config.SharedL2
-               ? accessShared(Node, PA, IsWrite, T, R)
-               : accessPrivate(Node, PA, VA, IsWrite, T, R, Lookahead);
-  }
+  std::uint64_t PA = physFor(VA, Node);
+  std::uint64_t Done =
+      Config.SharedL2 ? accessShared(Node, PA, IsWrite, T, R)
+                      : accessPrivate(Node, PA, VA, IsWrite, T, R, Lookahead);
   fillL1(Node, VA, IsWrite, Done);
   if (Sink) {
     Sink->emit(TraceKind::L1Fill, Done, 0, VA, 0);
@@ -150,23 +132,6 @@ void Machine::fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
       L2s[Node].markDirty(VictimL2Line);
     }
   }
-}
-
-std::uint64_t Machine::accessPrivate(unsigned Node, std::uint64_t PA,
-                                     std::uint64_t VA, bool IsWrite,
-                                     std::uint64_t Time, SimResult &R,
-                                     ThreadStream *Lookahead) {
-  std::uint64_t T = Time + Config.L2LatencyCycles;
-  std::uint64_t Line = L2LineDiv.div(PA);
-  bool Hit = L2s[Node].access(Line, IsWrite);
-  if (Sink)
-    Sink->emit(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, Time,
-               Config.L2LatencyCycles, PA, Node);
-  if (Hit) {
-    ++R.LocalL2Hits;
-    return T;
-  }
-  return privateMissTail(Node, PA, VA, IsWrite, T, R, Lookahead);
 }
 
 void Machine::collectBurst(unsigned MC, std::uint64_t TriggerLine,
@@ -262,11 +227,64 @@ void Machine::collectBurst(unsigned MC, std::uint64_t TriggerLine,
   std::sort(Run.begin(), Run.end());
 }
 
-std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
-                                       std::uint64_t VA, bool IsWrite,
-                                       std::uint64_t T, SimResult &R,
-                                       ThreadStream *Lookahead) {
+std::uint64_t Machine::remoteForward(unsigned Node, unsigned Source,
+                                     unsigned DirNode, std::uint64_t PA,
+                                     const MessageResult &Req,
+                                     std::uint64_t T, SimResult &R) {
+  MessageResult Fwd = Net.send(DirNode, Source, Config.RequestBytes, T);
+  if (Sink)
+    Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
+               Config.L2LatencyCycles, PA, Source);
+  MessageResult Data =
+      Net.send(Source, Node, Config.L2LineBytes,
+               Fwd.ArrivalTime + Config.L2LatencyCycles);
+  ++R.RemoteL2Hits;
+  R.OnChipNetLatency.addSample(static_cast<double>(
+      Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
+  R.OnChipMsgHops.addSample(Req.Hops);
+  R.OnChipMsgHops.addSample(Fwd.Hops);
+  R.OnChipMsgHops.addSample(Data.Hops);
+  return Data.ArrivalTime;
+}
+
+void Machine::recordOffChip(unsigned Node, unsigned MC,
+                            const MessageResult &Req,
+                            const DramAccessResult &Dram,
+                            const MessageResult &Data, SimResult &R) {
+  ++R.OffChipAccesses;
+  R.OffChipNetLatency.addSample(
+      static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
+  R.OffNetLatencyHist.addSample((Req.NetworkCycles + Data.NetworkCycles) / 64);
+  R.MemLatency.addSample(
+      static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
+  R.OffChipMsgHops.addSample(Req.Hops);
+  R.OffChipMsgHops.addSample(Data.Hops);
+  R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
+}
+
+void Machine::writebackL2Line(unsigned Node, std::uint64_t Line,
+                              std::uint64_t T) {
+  std::uint64_t PA = Line * Config.L2LineBytes;
+  unsigned MC = mcForPhys(PA);
+  MessageResult WB = Net.send(Node, MCNodes[MC], Config.L2LineBytes, T);
+  MCs[MC].writeback(PA, WB.ArrivalTime);
+}
+
+std::uint64_t Machine::accessPrivate(unsigned Node, std::uint64_t PA,
+                                     std::uint64_t VA, bool IsWrite,
+                                     std::uint64_t Time, SimResult &R,
+                                     ThreadStream *Lookahead) {
+  std::uint64_t T = Time + Config.L2LatencyCycles;
   std::uint64_t Line = L2LineDiv.div(PA);
+  bool Hit = L2s[Node].access(Line, IsWrite);
+  if (Sink)
+    Sink->emit(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, Time,
+               Config.L2LatencyCycles, PA, Node);
+  if (Hit) {
+    ++R.LocalL2Hits;
+    return T;
+  }
+
   // The optimal scheme of Section 2: every request is served by the
   // nearest MC over an uncontended route, and the redirection incurs no
   // additional bank-contention latency — the banks themselves still behave
@@ -288,22 +306,8 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
   int Sharer = Dir.findSharer(Line);
   if (Sharer >= 0 && static_cast<unsigned>(Sharer) != Node) {
     // On-chip access: forward to the sharing L2, which responds with data.
-    MessageResult Fwd = Net.send(DirNode, static_cast<unsigned>(Sharer),
-                                 Config.RequestBytes, T);
-    if (Sink)
-      Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                 Config.L2LatencyCycles, PA,
-                 static_cast<std::uint32_t>(Sharer));
-    T = Fwd.ArrivalTime + Config.L2LatencyCycles;
-    MessageResult Data = Net.send(static_cast<unsigned>(Sharer), Node,
-                                  Config.L2LineBytes, T);
-    T = Data.ArrivalTime;
-    ++R.RemoteL2Hits;
-    R.OnChipNetLatency.addSample(static_cast<double>(
-        Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
-    R.OnChipMsgHops.addSample(Req.Hops);
-    R.OnChipMsgHops.addSample(Fwd.Hops);
-    R.OnChipMsgHops.addSample(Data.Hops);
+    T = remoteForward(Node, static_cast<unsigned>(Sharer), DirNode, PA, Req,
+                      T, R);
   } else {
     // Off-chip access: path 2 (DRAM) then path 3 (data back to the L2).
     // With Config.Burst enabled, adjacent future lines of the same thread
@@ -341,16 +345,7 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
                                Config.L2LineBytes,
                            T);
     T = Data.ArrivalTime;
-    ++R.OffChipAccesses;
-    R.OffChipNetLatency.addSample(
-        static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
-    R.OffNetLatencyHist.addSample(
-        (Req.NetworkCycles + Data.NetworkCycles) / 64);
-    R.MemLatency.addSample(
-        static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
-    R.OffChipMsgHops.addSample(Req.Hops);
-    R.OffChipMsgHops.addSample(Data.Hops);
-    R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
+    recordOffChip(Node, MC, Req, Dram, Data, R);
 
     // Ridealong lines fill the requester's L2 clean so their future
     // touches become local L2 hits; the directory stays exact.
@@ -361,13 +356,8 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
         Cache::Eviction REv = L2s[Node].insert(RL, false);
         if (REv.Valid) {
           Dir.removeSharer(REv.LineAddr, Node);
-          if (REv.Dirty) {
-            std::uint64_t VictimPA = REv.LineAddr * Config.L2LineBytes;
-            unsigned VictimMC = mcForPhys(VictimPA);
-            MessageResult WB =
-                Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes, T);
-            MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-          }
+          if (REv.Dirty)
+            writebackL2Line(Node, REv.LineAddr, T);
         }
         Dir.addSharer(RL, Node);
       }
@@ -378,13 +368,8 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
   Cache::Eviction Ev = L2s[Node].insert(Line, IsWrite);
   if (Ev.Valid) {
     Dir.removeSharer(Ev.LineAddr, Node);
-    if (Ev.Dirty) {
-      std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-      unsigned VictimMC = mcForPhys(VictimPA);
-      MessageResult WB =
-          Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes, T);
-      MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-    }
+    if (Ev.Dirty)
+      writebackL2Line(Node, Ev.LineAddr, T);
   }
   Dir.addSharer(Line, Node);
   return T;
@@ -433,13 +418,8 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
 
   // Fill the home bank.
   Cache::Eviction Ev = L2s[Home].insert(Line, IsWrite);
-  if (Ev.Valid && Ev.Dirty) {
-    std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-    unsigned VictimMC = mcForPhys(VictimPA);
-    MessageResult WB =
-        Net.send(Home, MCNodes[VictimMC], Config.L2LineBytes, T);
-    MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-  }
+  if (Ev.Valid && Ev.Dirty)
+    writebackL2Line(Home, Ev.LineAddr, T);
 
   // Path 5: data to the requesting L1.
   MessageResult Resp = Net.send(Home, Node, Config.L1LineBytes, T);
@@ -553,16 +533,14 @@ std::uint64_t Machine::coherentUpgrade(unsigned Node, std::uint64_t Line,
   std::uint64_t LinePA = Line * Config.L2LineBytes;
   unsigned MC = mcForPhys(LinePA);
   unsigned DirNode = MCNodes[MC];
-  MessageResult Req =
-      Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
+  MessageResult Req = Net.send(Node, DirNode, Config.RequestBytes, T);
   if (Sink)
     Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
                Config.DirectoryLatencyCycles, LinePA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   // The grant leaves only once every other copy is gone.
   T = invalidateSharers(Line, Node, DirNode, T, R);
-  MessageResult Grant =
-      Net.send(DirNode, Node, Config.Coherence.AckBytes, T, MsgClass::Ack);
+  MessageResult Grant = Net.send(DirNode, Node, Config.Coherence.AckBytes, T);
   R.CohMsgHops.addSample(Req.Hops);
   R.CohMsgHops.addSample(Grant.Hops);
   L2s[Node].setState(Line, LineState::Modified);
@@ -582,8 +560,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
   while (Mask != 0) {
     unsigned S = static_cast<unsigned>(std::countr_zero(Mask));
     Mask &= Mask - 1;
-    MessageResult Inv = Net.send(DirNode, S, Config.Coherence.InvalidateBytes,
-                                 T, MsgClass::Invalidate);
+    MessageResult Inv =
+        Net.send(DirNode, S, Config.Coherence.InvalidateBytes, T);
     if (Sink)
       Sink->emit(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
     bool WasM =
@@ -594,10 +572,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
     // A Modified holder's ack carries the dirty line home to its MC; clean
     // copies ack with a header-sized message.
     MessageResult Ack =
-        WasM ? Net.send(S, DirNode, Config.L2LineBytes, Inv.ArrivalTime,
-                        MsgClass::Writeback)
-             : Net.send(S, DirNode, Config.Coherence.AckBytes,
-                        Inv.ArrivalTime, MsgClass::Ack);
+        WasM ? Net.send(S, DirNode, Config.L2LineBytes, Inv.ArrivalTime)
+             : Net.send(S, DirNode, Config.Coherence.AckBytes, Inv.ArrivalTime);
     if (WasM) {
       MCs[mcForPhys(LinePA)].writeback(LinePA, Ack.ArrivalTime);
       ++R.CoherenceWritebacks;
@@ -658,8 +634,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
   const bool MESI =
       Config.Coherence.Protocol == MachineConfig::CoherenceProtocol::MESI;
 
-  MessageResult Req =
-      Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
+  MessageResult Req = Net.send(Node, DirNode, Config.RequestBytes, T);
   if (Sink)
     Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
                Config.DirectoryLatencyCycles, PA, DirNode);
@@ -676,21 +651,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
     // the request type requires.
     unsigned Source = static_cast<unsigned>(std::countr_zero(Holders));
     int Owner = Dir.exclusiveOwner(Line);
-    MessageResult Fwd =
-        Net.send(DirNode, Source, Config.RequestBytes, T, MsgClass::Request);
-    if (Sink)
-      Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                 Config.L2LatencyCycles, PA, Source);
-    T = Fwd.ArrivalTime + Config.L2LatencyCycles;
-    MessageResult Data =
-        Net.send(Source, Node, Config.L2LineBytes, T, MsgClass::Data);
-    T = Data.ArrivalTime;
-    ++R.RemoteL2Hits;
-    R.OnChipNetLatency.addSample(static_cast<double>(
-        Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
-    R.OnChipMsgHops.addSample(Req.Hops);
-    R.OnChipMsgHops.addSample(Fwd.Hops);
-    R.OnChipMsgHops.addSample(Data.Hops);
+    T = remoteForward(Node, Source, DirNode, PA, Req, T, R);
 
     if (IsWrite) {
       // Write miss: the source's invalidation rides the forward (its dirty
@@ -714,10 +675,8 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
       L2s[Source].setState(Line, LineState::Shared);
       ++R.Downgrades;
       MessageResult Notify =
-          WasM ? Net.send(Source, DirNode, Config.L2LineBytes, T,
-                          MsgClass::Writeback)
-               : Net.send(Source, DirNode, Config.Coherence.AckBytes, T,
-                          MsgClass::Downgrade);
+          WasM ? Net.send(Source, DirNode, Config.L2LineBytes, T)
+               : Net.send(Source, DirNode, Config.Coherence.AckBytes, T);
       if (WasM) {
         MCs[MC].writeback(Line * Config.L2LineBytes, Notify.ArrivalTime);
         ++R.CoherenceWritebacks;
@@ -737,19 +696,10 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
   // No on-chip copy: off-chip access, identical in shape and accounting to
   // the coherence-free two-leg DRAM path.
   DramAccessResult Dram = MCs[MC].access(PA, T);
-  T = Dram.CompleteTime;
   MessageResult Data =
-      Net.send(DirNode, Node, Config.L2LineBytes, T, MsgClass::Data);
+      Net.send(DirNode, Node, Config.L2LineBytes, Dram.CompleteTime);
   T = Data.ArrivalTime;
-  ++R.OffChipAccesses;
-  R.OffChipNetLatency.addSample(
-      static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
-  R.OffNetLatencyHist.addSample((Req.NetworkCycles + Data.NetworkCycles) / 64);
-  R.MemLatency.addSample(
-      static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
-  R.OffChipMsgHops.addSample(Req.Hops);
-  R.OffChipMsgHops.addSample(Data.Hops);
-  R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
+  recordOffChip(Node, MC, Req, Dram, Data, R);
 
   LineState St = LineState::Shared;
   if (IsWrite) {
@@ -775,13 +725,8 @@ void Machine::coherentL2Insert(unsigned Node, std::uint64_t Line, bool IsWrite,
       Dir.clearExclusive(Ev.LineAddr);
     // Inclusion: the L1 must not outlive the L2 line that covers it.
     backInvalidateL1(Node, Ev.LineAddr);
-    if (Ev.Dirty) {
-      std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-      unsigned VictimMC = mcForPhys(VictimPA);
-      MessageResult WB = Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes,
-                                  T, MsgClass::Writeback);
-      MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-    }
+    if (Ev.Dirty)
+      writebackL2Line(Node, Ev.LineAddr, T);
   }
   coherentTrack(Line, Node, T, R);
 }

@@ -14,10 +14,10 @@
 /// bank fetches from the MC (paths 2-4) and responds to the L1 (path 5).
 ///
 /// The optimal scheme of Section 2 short-circuits the off-chip legs: the
-/// nearest MC serves the request over an uncontended route with no bank
-/// queueing. Everything else (caches, on-chip transfers) stays identical, so
-/// the on-chip latency improvement of Figure 4 emerges purely from the
-/// removed network contention.
+/// nearest MC serves the request over an uncontended route. Its banks still
+/// queue (DESIGN.md section 4b); everything else (caches, on-chip transfers)
+/// stays identical, so the on-chip latency improvement of Figure 4 emerges
+/// purely from the removed network contention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,24 +95,9 @@ public:
   const std::vector<unsigned> &mcNodes() const { return MCNodes; }
 
 private:
-  /// True when an L1 miss resolves against the node's own L2 by virtual
-  /// address: private L2s and cache-line interleaving (where translation is
-  /// the identity, so no VM state is consulted).
-  bool localL2Eligible() const {
-    return !Config.SharedL2 &&
-           Config.Granularity == InterleaveGranularity::CacheLine;
-  }
-
   /// Probes (and updates) node's L1.
   bool l1Probe(unsigned Node, std::uint64_t VA, bool IsWrite) {
     return L1s[Node].access(L1LineDiv.div(VA), IsWrite);
-  }
-
-  /// Probes (and updates) the node's private L2 by physical address. Only
-  /// valid under localL2Eligible().
-  bool l2ProbeLocal(unsigned Node, std::uint64_t PA, bool IsWrite) {
-    assert(localL2Eligible() && "local L2 probe needs node-local addressing");
-    return L2s[Node].access(L2LineDiv.div(PA), IsWrite);
   }
 
   /// Fills the node's L1 with \p VA completing at \p Done; dirty victims
@@ -120,9 +105,9 @@ private:
   void fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
               std::uint64_t Done);
 
-  /// The Figure 2 flow (no coherence protocol): L1, then the node's own L2
-  /// (private, cache-line interleaved), or translation and the private or
-  /// shared L2 flow past the L1 miss. \returns the completion cycle.
+  /// The Figure 2 flow (no coherence protocol): L1, then translation and
+  /// the private or shared L2 flow past the L1 miss. \returns the
+  /// completion cycle.
   std::uint64_t accessCoherenceFree(unsigned Node, std::uint64_t VA,
                                     bool IsWrite, std::uint64_t Time,
                                     SimResult &R, ThreadStream *Lookahead);
@@ -136,18 +121,33 @@ private:
   std::uint64_t physFor(std::uint64_t VA, unsigned Node);
   unsigned mcForPhys(std::uint64_t PA) const;
 
-  /// Private-L2 flow past the L1 miss. \p VA is the access's virtual
+  /// Private-L2 flow past the L1 miss: the node's own L2, then directory,
+  /// remote L2 or DRAM, and the L2 fill. \p VA is the access's virtual
   /// address (the burst coalescer matches window accesses by virtual line;
   /// under cache-line interleaving VA == PA).
   std::uint64_t accessPrivate(unsigned Node, std::uint64_t PA,
                               std::uint64_t VA, bool IsWrite,
                               std::uint64_t Time, SimResult &R,
                               ThreadStream *Lookahead);
-  /// Private-L2 flow past the local L2 miss (directory, DRAM, L2 fill).
-  std::uint64_t privateMissTail(unsigned Node, std::uint64_t PA,
-                                std::uint64_t VA, bool IsWrite,
-                                std::uint64_t Time, SimResult &R,
-                                ThreadStream *Lookahead);
+  /// On-chip service of a private-L2 miss, shared by the coherence-free and
+  /// coherent flows: the directory at \p DirNode forwards the request to
+  /// \p Source's L2, which sends the line to \p Node. Records the remote
+  /// hit with the network time and hops of all three messages (\p Req is
+  /// the request that reached the directory). \p T is when the directory
+  /// lookup finished; \returns the data's arrival at \p Node.
+  std::uint64_t remoteForward(unsigned Node, unsigned Source, unsigned DirNode,
+                              std::uint64_t PA, const MessageResult &Req,
+                              std::uint64_t T, SimResult &R);
+  /// Records a private-L2 off-chip access of \p Node served by \p MC: the
+  /// request \p Req to the directory, the DRAM access \p Dram and the data
+  /// \p Data back to the L2.
+  void recordOffChip(unsigned Node, unsigned MC, const MessageResult &Req,
+                     const DramAccessResult &Dram, const MessageResult &Data,
+                     SimResult &R);
+  /// Writes the dirty L2 line \p Line evicted at \p Node back to its MC:
+  /// a line-sized message leaving at \p T, then a fire-and-forget DRAM
+  /// writeback (bank occupancy only).
+  void writebackL2Line(unsigned Node, std::uint64_t Line, std::uint64_t T);
   /// Burst coalescing (Config.Burst): consults the stream's scan state
   /// (advanced over \p Lookahead's next WindowAccesses accesses) for
   /// off-chip lines adjacent to \p TriggerLine on controller \p MC and

@@ -249,8 +249,9 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
           "use the default 8-line cap");
   }
   // Coherence: the protocol rides the private-L2 directory flow, so the
-  // SNUCA machine has no state for it to govern, and the burst coalescer's
-  // ridealong fills are not coherence-aware yet.
+  // SNUCA machine has no state for it to govern, the burst coalescer's
+  // ridealong fills are not coherence-aware yet, and the coherent flow has
+  // no optimal-scheme leg (it always routes to the line's own MC).
   if (Coherence.enabled()) {
     if (SharedL2)
       Bad("SharedL2", 1,
@@ -261,6 +262,11 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
       Bad("Burst.Enabled", 1,
           "burst coalescing's ridealong fills are not coherence-aware",
           "disable one of --coherence and --burst-coalesce");
+    if (OptimalScheme)
+      Bad("OptimalScheme", 1,
+          "the coherent flow does not model the optimal scheme (it would "
+          "simulate the contended machine under the optimal label)",
+          "drop --coherence for the optimal-scheme run");
     if (Coherence.SparseDirectory && Coherence.SparseEntries < 1)
       Bad("Coherence.SparseEntries", Coherence.SparseEntries,
           "a sparse directory must track at least one line",

@@ -95,7 +95,9 @@ struct MachineConfig {
   unsigned RequestBytes = 16;
 
   /// The optimal scheme of Section 2: every off-chip request is served by
-  /// the nearest MC with no network contention and no bank queueing.
+  /// the nearest MC with no network contention on its off-chip legs. The
+  /// MC's banks still queue (DESIGN.md section 4b). Coherence-free flows
+  /// only (validate() rejects it together with Coherence).
   bool OptimalScheme = false;
 
   /// Coherence protocol modeled on the private-L2 flow. None (the default)

@@ -41,8 +41,8 @@ enum class TraceKind : std::uint8_t {
   BankService,    ///< Bank busy servicing; Aux = (MC id << 16) | (bank << 1)
                   ///< | row-hit, Dur = service cycles.
   L1Fill,         ///< Line filled into the requester's L1.
-  Complete,       ///< Whole off-tile access span: Start = issue cycle, Dur =
-                  ///< end-to-end latency.
+  Complete,       ///< Every access that does not complete in L1: Start =
+                  ///< issue cycle, Dur = end-to-end latency.
   BurstCoalesce,  ///< A coalesced wide DRAM transaction (appended last:
                   ///< values are stable across exports); Aux = (MC id << 8)
                   ///< | line count, Dur = bank service cycles.

@@ -689,6 +689,33 @@ TEST(Service, ErrorResponsesAreNotCached) {
   EXPECT_EQ(Service.stats().Cache.Entries, 0u);
 }
 
+TEST(Service, OptimalSchemeUnderCoherenceIsAnErrorWithDiagnostic) {
+  // The coherent flow has no optimal-scheme leg; the pair used to run the
+  // contended machine under the optimal label.
+  std::string Err;
+  std::optional<JsonValue> V = parseJson(
+      "{\"method\":\"simulate\",\"app\":\"swim\",\"config\":"
+      "{\"optimal_scheme\":true,\"coherence\":\"msi\"}}",
+      &Err);
+  ASSERT_TRUE(V.has_value()) << Err;
+  SimRequest Req;
+  ASSERT_TRUE(requestFromJson(*V, &Req, &Err)) << Err;
+  SimService Service({1, 8, 8});
+  SimResponse Resp = Service.call(Req);
+  EXPECT_EQ(Resp.Status, ResponseStatus::Error);
+  EXPECT_FALSE(Resp.Original.has_value());
+
+  // The diagnostic survives the wire.
+  std::optional<JsonValue> Line = parseJson(writeResponseLine(Resp), &Err);
+  ASSERT_TRUE(Line.has_value()) << Err;
+  SimResponse Back;
+  ASSERT_TRUE(responseFromJson(*Line, &Back, &Err)) << Err;
+  EXPECT_EQ(Back.Status, ResponseStatus::Error);
+  ASSERT_EQ(Back.Diagnostics.size(), 1u);
+  EXPECT_EQ(Back.Diagnostics[0].Field, "OptimalScheme");
+  EXPECT_FALSE(Back.Diagnostics[0].Fix.empty());
+}
+
 TEST(Service, BackpressureOverloadsAndDrains) {
   // A gate executor lets us hold requests in flight deterministically.
   std::mutex Mu;

@@ -13,20 +13,33 @@ using namespace offchip;
 
 TEST(Cache, MissThenHit) {
   Cache C(1024, 64, 2);
-  EXPECT_FALSE(C.access(7, false));
-  C.insert(7, false);
-  EXPECT_TRUE(C.access(7, false));
-  EXPECT_EQ(C.hits(), 1u);
-  EXPECT_EQ(C.misses(), 1u);
+  unsigned Hits = 0, Misses = 0;
+  for (int I = 0; I < 2; ++I) {
+    if (C.access(7, false)) {
+      ++Hits;
+    } else {
+      ++Misses;
+      C.insert(7, false);
+    }
+  }
+  EXPECT_EQ(Hits, 1u);
+  EXPECT_EQ(Misses, 1u);
 }
 
 TEST(Cache, ContainsDoesNotPerturbStats) {
-  Cache C(1024, 64, 2);
+  // Fully-associative 2-line cache: contains() neither inserts a missing
+  // line nor refreshes the LRU order of a resident one.
+  Cache C(128, 64, 2);
   C.insert(1, false);
+  C.insert(2, false);
   EXPECT_TRUE(C.contains(1));
-  EXPECT_FALSE(C.contains(2));
-  EXPECT_EQ(C.hits(), 0u);
-  EXPECT_EQ(C.misses(), 0u);
+  EXPECT_FALSE(C.contains(3));
+  EXPECT_FALSE(C.access(3, false));
+  Cache::Eviction Ev = C.insert(3, false);
+  ASSERT_TRUE(Ev.Valid);
+  EXPECT_EQ(Ev.LineAddr, 1u); // still LRU despite the contains() probe
+  EXPECT_TRUE(C.access(2, false));
+  EXPECT_TRUE(C.access(3, false));
 }
 
 TEST(Cache, LruEvictionOrder) {
@@ -58,7 +71,7 @@ TEST(Cache, MarkDirtyWithoutStats) {
   C.insert(5, false);
   EXPECT_TRUE(C.markDirty(5));
   EXPECT_FALSE(C.markDirty(6));
-  EXPECT_EQ(C.hits(), 0u);
+  EXPECT_FALSE(C.access(6, false)); // markDirty never inserts
   Cache::Eviction Ev = C.insert(7, false);
   Cache::Eviction Ev2 = C.insert(8, false);
   // One of the two evictions carries line 5, dirty.

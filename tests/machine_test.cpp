@@ -265,6 +265,18 @@ TEST(ConfigValidate, RejectsZeroNocAndDramGeometry) {
   EXPECT_TRUE(rejectsWith(C, "ThreadsPerCore"));
 }
 
+TEST(ConfigValidate, RejectsOptimalSchemeUnderCoherence) {
+  // The coherent flow never reads OptimalScheme: accepting the pair would
+  // simulate the contended machine under the optimal label.
+  MachineConfig C = MachineConfig::scaledDefault();
+  C.OptimalScheme = true;
+  EXPECT_TRUE(C.validate().empty());
+  C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
+  EXPECT_TRUE(rejectsWith(C, "OptimalScheme"));
+  C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MESI;
+  EXPECT_TRUE(rejectsWith(C, "OptimalScheme"));
+}
+
 TEST(ConfigValidate, DiagnosticsCarryValueConstraintAndFix) {
   MachineConfig C = MachineConfig::scaledDefault();
   C.MeshX = 0;

@@ -192,12 +192,8 @@ TEST(Network, IdealSendDoesNotReserve) {
 TEST(Network, StatsAccumulate) {
   Mesh M(4, 4);
   Network Net(M, NocConfig());
-  EXPECT_EQ(Net.messagesSent(), 0u);
+  EXPECT_EQ(Net.totalLinkBusyCycles(), 0u);
   Net.send(0, 5, 64, 0);
   Net.send(3, 12, 64, 0);
-  EXPECT_EQ(Net.messagesSent(), 2u);
   EXPECT_GT(Net.totalLinkBusyCycles(), 0u);
-  Net.reset();
-  EXPECT_EQ(Net.messagesSent(), 0u);
-  EXPECT_EQ(Net.totalLinkBusyCycles(), 0u);
 }

@@ -91,8 +91,8 @@ SimResult runTraced(const AppModel &App, MachineConfig Config,
 }
 
 /// Tracing must not change a single simulated number, on any config axis:
-/// the local-L2 fast path, the translated page path, shared L2 and the
-/// optimized variant.
+/// the identity-mapped cache-line path, the translated page path, shared L2
+/// and the optimized variant.
 void checkUnperturbed(const char *AppName, MachineConfig Config,
                       RunVariant Variant) {
   AppModel App = buildApp(AppName, /*SizeScale=*/0.1);
@@ -137,6 +137,41 @@ TEST(Trace, UnperturbedCoherence) {
   MachineConfig C = smallConfig();
   C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
   checkUnperturbed("swim", C, RunVariant::Original);
+}
+
+// Every access that does not complete in L1 emits exactly one Complete
+// event, whichever flow serves it: the coherence-free private L2 under
+// cache-line and page interleaving, the shared L2, and the MSI flow (whose
+// write hits on Shared lines complete through an upgrade, not in L1).
+TEST(Trace, OneCompletePerL1Miss) {
+  AppModel App = buildApp("swim", 0.1);
+  auto Check = [&App](const char *Flow, MachineConfig C) {
+    SCOPED_TRACE(Flow);
+    C.Trace.Enabled = true;
+    C.Trace.MaxEventsPerNode = ~0ull; // uncapped: count every event
+    ClusterMapping M = makeM1Mapping(C);
+    SimResult R = runVariant(App, C, M, RunVariant::Original);
+    ASSERT_NE(R.Trace, nullptr);
+    ASSERT_EQ(R.Trace->DroppedEvents, 0u);
+    std::uint64_t Completes = 0;
+    for (const TraceEvent &E : R.Trace->Events)
+      Completes += E.Kind == TraceKind::Complete ? 1 : 0;
+    if (!C.SharedL2) {
+      EXPECT_GT(R.LocalL2Hits, 0u);
+    }
+    EXPECT_EQ(Completes, R.TotalAccesses - R.L1Hits);
+  };
+  MachineConfig C = smallConfig();
+  C.Granularity = InterleaveGranularity::CacheLine;
+  Check("private L2, cache-line interleaving", C);
+  C.Granularity = InterleaveGranularity::Page;
+  Check("private L2, page interleaving", C);
+  C = smallConfig();
+  C.SharedL2 = true;
+  Check("shared L2", C);
+  C = smallConfig();
+  C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
+  Check("MSI", C);
 }
 
 // Byte-identity must survive ring overflow: with a tiny per-node cap the

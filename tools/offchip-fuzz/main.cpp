@@ -252,10 +252,10 @@ MachineConfig randomConfig(SplitMix64 &R) {
   C.Burst.MaxLines = pick(R, MaxLines);
 
   // Coherence: MSI/MESI protocol traffic over the private-L2 machine, with
-  // an optional bounded (sparse) directory. Incompatible with the shared L2
-  // and with burst coalescing (validate rejects both combinations), so
-  // those draws force the protocol off instead of skewing the rejection
-  // sampling below.
+  // an optional bounded (sparse) directory. Incompatible with the shared
+  // L2, burst coalescing and the optimal scheme (validate rejects each
+  // combination), so those draws force the protocol off instead of skewing
+  // the rejection sampling below.
   switch (ForceCoherence ? 1 + R.nextBelow(2) : R.nextBelow(4)) {
   case 1:
     C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
@@ -271,8 +271,9 @@ MachineConfig randomConfig(SplitMix64 &R) {
   if (ForceCoherence) {
     C.SharedL2 = false;
     C.Burst.Enabled = false;
+    C.OptimalScheme = false;
   }
-  if (C.SharedL2 || C.Burst.Enabled)
+  if (C.SharedL2 || C.Burst.Enabled || C.OptimalScheme)
     C.Coherence.Protocol = MachineConfig::CoherenceProtocol::None;
 
   C.CheckInvariants = true;
