@@ -79,6 +79,14 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
     // library — static registrars in an archive member nothing references
     // would otherwise be dropped, leaving the registry empty.
     (void)appNames();
+    if (!validSizeScale(R.Workload.SizeScale)) {
+      Resp.Status = ResponseStatus::Error;
+      Resp.Diagnostics.push_back(
+          {"scale", formatString("%g", R.Workload.SizeScale),
+           formatString("must be > 0 and at most %g", MaxSizeScale),
+           "use 1.0 for the application's default array extents"});
+      return Resp;
+    }
     std::optional<AppModel> M = WorkloadFactory::instance().tryBuild(
         R.Workload.App, R.Workload.SizeScale);
     if (!M) {

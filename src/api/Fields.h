@@ -28,7 +28,7 @@ namespace offchip {
 struct FieldOpts {
   /// Hashed into requestKey(). Only result-invariant knobs opt out.
   bool Keyed = true;
-  /// Emitted by toJson().
+  /// Emitted by the JSON writer.
   bool Written = true;
 };
 

@@ -5,11 +5,40 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 using namespace offchip;
+
+//===----------------------------------------------------------------------===//
+// Number formatting, shared by the DOM and the streaming writer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Longest token either formatter produces ("-1.2345678901234567e-308").
+constexpr std::size_t NumberBufSize = 32;
+
+std::string_view formatNumber(char (&Buf)[NumberBufSize], std::uint64_t V) {
+  std::to_chars_result R = std::to_chars(Buf, Buf + NumberBufSize, V);
+  return {Buf, static_cast<std::size_t>(R.ptr - Buf)};
+}
+
+std::string_view formatNumber(char (&Buf)[NumberBufSize], double V) {
+  // JSON has no inf/nan; the simulator never produces them, but don't emit
+  // an unparsable document if a bug does.
+  if (!std::isfinite(V))
+    return "0";
+  // Precision 17 round-trips every finite IEEE double through strtod
+  // exactly; general format with it is %.17g by definition.
+  std::to_chars_result R = std::to_chars(Buf, Buf + NumberBufSize, V,
+                                         std::chars_format::general, 17);
+  return {Buf, static_cast<std::size_t>(R.ptr - Buf)};
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Construction
@@ -23,18 +52,13 @@ JsonValue JsonValue::boolean(bool V) {
 }
 
 JsonValue JsonValue::number(double V) {
-  // %.17g round-trips every finite IEEE double through strtod exactly.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  // JSON has no inf/nan; the simulator never produces them, but don't emit
-  // an unparsable document if a bug does.
-  if (std::strchr(Buf, 'n') || std::strchr(Buf, 'i'))
-    std::snprintf(Buf, sizeof(Buf), "0");
-  return rawNumber(Buf);
+  char Buf[NumberBufSize];
+  return rawNumber(std::string(formatNumber(Buf, V)));
 }
 
 JsonValue JsonValue::number(std::uint64_t V) {
-  return rawNumber(formatString("%llu", static_cast<unsigned long long>(V)));
+  char Buf[NumberBufSize];
+  return rawNumber(std::string(formatNumber(Buf, V)));
 }
 
 JsonValue JsonValue::rawNumber(std::string Token) {
@@ -134,10 +158,22 @@ const JsonValue *JsonValue::find(std::string_view Key) const {
 
 namespace {
 
-void writeEscaped(const std::string &S, std::string &Out) {
+bool needsEscape(char C) {
+  return C == '"' || C == '\\' || static_cast<unsigned char>(C) < 0x20;
+}
+
+void writeEscaped(std::string_view S, std::string &Out) {
   Out += '"';
-  for (char C : S) {
-    switch (C) {
+  const char *P = S.data(), *End = P + S.size();
+  while (P != End) {
+    // Copy the run up to the next character that needs an escape in bulk.
+    const char *Run = P;
+    while (P != End && !needsEscape(*P))
+      ++P;
+    Out.append(Run, static_cast<std::size_t>(P - Run));
+    if (P == End)
+      break;
+    switch (char C = *P++) {
     case '"':
       Out += "\\\"";
       break;
@@ -159,11 +195,12 @@ void writeEscaped(const std::string &S, std::string &Out) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
+    default: {
+      static const char Hex[] = "0123456789abcdef";
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[(C >> 4) & 0xF],
+                          Hex[C & 0xF]};
+      Out.append(Esc, sizeof(Esc));
+    }
     }
   }
   Out += '"';
@@ -171,46 +208,72 @@ void writeEscaped(const std::string &S, std::string &Out) {
 
 } // namespace
 
-void JsonValue::writeTo(std::string &Out) const {
+void JsonWriter::key(std::string_view K) {
+  separate();
+  writeEscaped(K, Out);
+  Out += ':';
+  NeedComma = false;
+}
+
+void JsonWriter::value(std::uint64_t V) {
+  char Buf[NumberBufSize];
+  raw(formatNumber(Buf, V));
+}
+
+void JsonWriter::value(double V) {
+  char Buf[NumberBufSize];
+  raw(formatNumber(Buf, V));
+}
+
+void JsonWriter::value(bool V) { raw(V ? "true" : "false"); }
+
+void JsonWriter::value(std::string_view V) {
+  separate();
+  writeEscaped(V, Out);
+}
+
+void JsonWriter::null() { raw("null"); }
+
+void JsonWriter::raw(std::string_view Token) {
+  separate();
+  Out += Token;
+}
+
+void JsonValue::writeTo(JsonWriter &W) const {
   switch (K) {
   case Kind::Null:
-    Out += "null";
+    W.null();
     return;
   case Kind::Bool:
-    Out += BoolV ? "true" : "false";
+    W.value(BoolV);
     return;
   case Kind::Number:
-    Out += Text;
+    W.raw(Text);
     return;
   case Kind::String:
-    writeEscaped(Text, Out);
+    W.value(std::string_view(Text));
     return;
   case Kind::Array:
-    Out += '[';
-    for (std::size_t I = 0; I < Items.size(); ++I) {
-      if (I)
-        Out += ',';
-      Items[I].writeTo(Out);
-    }
-    Out += ']';
+    W.beginArray();
+    for (const JsonValue &Item : Items)
+      Item.writeTo(W);
+    W.endArray();
     return;
   case Kind::Object:
-    Out += '{';
-    for (std::size_t I = 0; I < Members.size(); ++I) {
-      if (I)
-        Out += ',';
-      writeEscaped(Members[I].first, Out);
-      Out += ':';
-      Members[I].second.writeTo(Out);
+    W.beginObject();
+    for (const auto &[Key, Value] : Members) {
+      W.key(Key);
+      Value.writeTo(W);
     }
-    Out += '}';
+    W.endObject();
     return;
   }
 }
 
 std::string JsonValue::write() const {
   std::string Out;
-  writeTo(Out);
+  JsonWriter W(Out);
+  writeTo(W);
   return Out;
 }
 

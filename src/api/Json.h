@@ -2,18 +2,25 @@
 ///
 /// \file
 /// The JSON layer of the service wire protocol (api/Serialize.h) and of the
-/// machine-readable reports. Deliberately dependency-free and exact:
+/// machine-readable reports: a streaming writer, a DOM value and a parser.
+/// Deliberately dependency-free and exact:
 ///
-///   - Numbers are stored as their source token and formatted on demand, so
-///     64-bit counters (simulated cycle counts exceed 2^53) and IEEE
-///     doubles (written as %.17g) survive a write/parse roundtrip
-///     bit-exactly — the property the served-vs-direct bit-identity tests
-///     rest on.
+///   - Numbers are formatted with std::to_chars: unsigned integers as plain
+///     digits (simulated cycle counts exceed 2^53), doubles in
+///     chars_format::general with precision 17, which the standard defines
+///     as printf's %.17g. Both survive a write/parse roundtrip bit-exactly
+///     — the property the served-vs-direct bit-identity tests rest on. JSON
+///     has no inf or nan; a non-finite double is written as 0.
+///   - The DOM stores a number as its source token, so a parsed document
+///     writes back byte-identically.
 ///   - Object members keep insertion order, so serialization is
 ///     deterministic and responses are byte-stable run to run.
 ///
-/// Strings are UTF-8 passthrough; escapes cover the JSON set including
-/// \uXXXX (decoded to UTF-8, surrogate pairs supported).
+/// JsonWriter is the one writer: the wire types stream through it straight
+/// into one string, and JsonValue::write() walks the DOM through it.
+/// Strings are UTF-8 passthrough; only '"', '\\' and control characters are
+/// escaped. The parser's escapes cover the JSON set including \uXXXX
+/// (decoded to UTF-8, surrogate pairs supported).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +35,57 @@
 #include <vector>
 
 namespace offchip {
+
+/// Appends one JSON document to a caller-owned string, with no DOM in
+/// between. Separators are implicit: a value after another value in the
+/// same container gets its comma, and key() supplies the member's colon.
+/// The caller keeps the calls well-nested; the writer does not check.
+class JsonWriter {
+public:
+  explicit JsonWriter(std::string &Out) : Out(Out) {}
+
+  void beginObject() { open('{'); }
+  void endObject() { close('}'); }
+  void beginArray() { open('['); }
+  void endArray() { close(']'); }
+
+  /// An object member's key; the next value() or begin*() is its value.
+  void key(std::string_view K);
+
+  void value(std::uint64_t V);
+  void value(unsigned V) { value(static_cast<std::uint64_t>(V)); }
+  void value(double V);
+  void value(bool V);
+  void value(std::string_view V);
+  void value(const char *V) { value(std::string_view(V)); }
+  void null();
+  /// A pre-formatted token (a DOM number's source text), written as is.
+  void raw(std::string_view Token);
+
+  template <typename T> void member(std::string_view K, const T &V) {
+    key(K);
+    value(V);
+  }
+
+private:
+  void separate() {
+    if (NeedComma)
+      Out += ',';
+    NeedComma = true;
+  }
+  void open(char C) {
+    separate();
+    Out += C;
+    NeedComma = false;
+  }
+  void close(char C) {
+    Out += C;
+    NeedComma = true;
+  }
+
+  std::string &Out;
+  bool NeedComma = false;
+};
 
 class JsonValue {
 public:
@@ -88,7 +146,7 @@ private:
   std::vector<JsonValue> Items;
   std::vector<std::pair<std::string, JsonValue>> Members;
 
-  void writeTo(std::string &Out) const;
+  void writeTo(JsonWriter &W) const;
 };
 
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage

@@ -38,12 +38,25 @@ enum class RequestKind {
   Simulate,
 };
 
+/// Largest accepted WorkloadSpec::SizeScale. A registry app's extents are
+/// its base extents times the scale, rounded to int64; the bound keeps
+/// every extent far below overflow (the largest base, 512 Ki elements,
+/// reaches 32 Mi).
+inline constexpr double MaxSizeScale = 64.0;
+
+/// Whether \p Scale is an accepted array-extent scale: in (0,
+/// MaxSizeScale]. False for nan.
+inline bool validSizeScale(double Scale) {
+  return Scale > 0.0 && Scale <= MaxSizeScale;
+}
+
 /// The workload a request operates on.
 struct WorkloadSpec {
   /// Registered application name (workload registry); empty selects
   /// \ref ProgramText instead.
   std::string App;
-  /// Array-extent scale for registry apps (1.0 = default sizing).
+  /// Array-extent scale for registry apps (1.0 = default sizing); valid
+  /// in (0, MaxSizeScale], see validSizeScale().
   double SizeScale = 1.0;
   /// Inline textual affine program (affine/ProgramText.h format); used only
   /// when \ref App is empty.

@@ -3,6 +3,7 @@
 #include "api/Serialize.h"
 
 #include "api/Fields.h"
+#include "support/Error.h"
 #include "support/Format.h"
 
 #include <cmath>
@@ -192,45 +193,49 @@ bool readOptional(const JsonValue &Obj, std::string_view Key, T *Out,
 }
 
 //===----------------------------------------------------------------------===//
-// Field writers
+// Field writers: append each value straight into the JsonWriter's string.
+// The scalar overloads forward to JsonWriter::value(); they exist so the
+// field walkers can call writeValue() on every field type alike.
 //===----------------------------------------------------------------------===//
 
-JsonValue wireValue(std::uint64_t V) { return JsonValue::number(V); }
-JsonValue wireValue(unsigned V) { return JsonValue::number(V); }
-JsonValue wireValue(double V) { return JsonValue::number(V); }
-JsonValue wireValue(bool V) { return JsonValue::boolean(V); }
+void writeValue(JsonWriter &W, std::uint64_t V) { W.value(V); }
+void writeValue(JsonWriter &W, unsigned V) { W.value(V); }
+void writeValue(JsonWriter &W, double V) { W.value(V); }
+void writeValue(JsonWriter &W, bool V) { W.value(V); }
 
 template <typename E>
   requires std::is_enum_v<E>
-JsonValue wireValue(E V) {
-  return JsonValue::string(spellings(V)[static_cast<std::size_t>(V)]);
+void writeValue(JsonWriter &W, E V) {
+  W.value(spellings(V)[static_cast<std::size_t>(V)]);
 }
 
-template <typename T> JsonValue wireValue(const std::vector<T> &V) {
-  JsonValue A = JsonValue::array();
+template <typename T>
+void writeValue(JsonWriter &W, const std::vector<T> &V) {
+  W.beginArray();
   for (const T &X : V)
-    A.push(wireValue(X));
-  return A;
+    writeValue(W, X);
+  W.endArray();
 }
 
-JsonValue wireValue(const Accumulator &A) {
-  JsonValue O = JsonValue::object();
-  O.set("count", JsonValue::number(A.count()));
-  O.set("sum", JsonValue::number(A.sum()));
-  O.set("min", JsonValue::number(A.min()));
-  O.set("max", JsonValue::number(A.max()));
-  return O;
+void writeValue(JsonWriter &W, const Accumulator &A) {
+  W.beginObject();
+  W.member("count", A.count());
+  W.member("sum", A.sum());
+  W.member("min", A.min());
+  W.member("max", A.max());
+  W.endObject();
 }
 
-JsonValue wireValue(const IntHistogram &H) {
-  JsonValue O = JsonValue::object();
-  O.set("cap", JsonValue::number(H.cap()));
-  JsonValue Buckets = JsonValue::array();
+void writeValue(JsonWriter &W, const IntHistogram &H) {
+  W.beginObject();
+  W.member("cap", H.cap());
+  W.key("buckets");
+  W.beginArray();
   if (H.total() != 0)
     for (unsigned I = 0; I <= H.maxNonEmptyBucket(); ++I)
-      Buckets.push(JsonValue::number(H.countAt(I)));
-  O.set("buckets", std::move(Buckets));
-  return O;
+      W.value(H.countAt(I));
+  W.endArray();
+  W.endObject();
 }
 
 const char *statusName(ResponseStatus S) {
@@ -248,17 +253,154 @@ const char *statusName(ResponseStatus S) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Streaming writers of the wire types
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void writeConfig(JsonWriter &W, const MachineConfig &C) {
+  W.beginObject();
+  visitConfigFields(C, [&](const char *Key, const auto &V,
+                           FieldOpts Opts = {}) {
+    if (Opts.Written) {
+      W.key(Key);
+      writeValue(W, V);
+    }
+  });
+  W.endObject();
+}
+
+void writeResult(JsonWriter &W, const SimResult &R) {
+  W.beginObject();
+  visitResultFields(R, [&](const char *Key, const auto &V) {
+    W.key(Key);
+    writeValue(W, V);
+  });
+  W.endObject();
+}
+
+void writePlan(JsonWriter &W, const PlanSummary &P) {
+  W.beginObject();
+  W.member("program", P.ProgramName);
+  W.member("clusters", P.NumClusters);
+  W.member("cores_per_cluster_x", P.CoresPerClusterX);
+  W.member("cores_per_cluster_y", P.CoresPerClusterY);
+  W.member("mcs_per_cluster", P.MCsPerCluster);
+  W.key("arrays");
+  W.beginArray();
+  for (const PlanArrayRow &Row : P.Arrays) {
+    W.beginObject();
+    W.member("name", Row.Name);
+    W.member("optimized", Row.Optimized);
+    W.member("u", Row.U);
+    W.member("note", Row.Note);
+    W.endObject();
+  }
+  W.endArray();
+  W.member("arrays_optimized_fraction", P.ArraysOptimizedFraction);
+  W.member("refs_satisfied_fraction", P.RefsSatisfiedFraction);
+  W.member("source", P.TransformedSource);
+  W.endObject();
+}
+
+void writeRequest(JsonWriter &W, const SimRequest &R) {
+  W.beginObject();
+  if (!R.Id.empty())
+    W.member("id", R.Id);
+  W.member("method",
+           R.Kind == RequestKind::Optimize ? "optimize" : "simulate");
+  if (R.Workload.isApp()) {
+    W.member("app", R.Workload.App);
+    W.member("scale", R.Workload.SizeScale);
+  } else {
+    W.member("program", R.Workload.ProgramText);
+  }
+  if (R.MCsPerCluster != 1)
+    W.member("mcs_per_cluster", R.MCsPerCluster);
+  W.key("config");
+  writeConfig(W, R.Config);
+  W.endObject();
+}
+
+void writeResponse(JsonWriter &W, const SimResponse &R) {
+  W.beginObject();
+  if (!R.Id.empty())
+    W.member("id", R.Id);
+  W.member("status", statusName(R.Status));
+  switch (R.Status) {
+  case ResponseStatus::Overloaded:
+    break;
+  case ResponseStatus::Error:
+    if (!R.ErrorText.empty())
+      W.member("error", R.ErrorText);
+    if (!R.Diagnostics.empty()) {
+      W.key("diagnostics");
+      W.beginArray();
+      for (const ConfigDiagnostic &D : R.Diagnostics) {
+        W.beginObject();
+        W.member("field", D.Field);
+        W.member("value", D.Value);
+        W.member("constraint", D.Constraint);
+        W.member("fix", D.Fix);
+        W.endObject();
+      }
+      W.endArray();
+    }
+    break;
+  case ResponseStatus::Ok:
+    W.member("cache", R.CacheHit ? "hit" : "miss");
+    // Written only when set so pre-single-flight response bytes are
+    // unchanged; absent means false on the read side.
+    if (R.Singleflight)
+      W.member("singleflight", true);
+    if (!R.Key.empty())
+      W.member("key", R.Key);
+    W.member("server_seconds", R.ServerSeconds);
+    W.key("plan");
+    writePlan(W, R.Plan);
+    if (R.Original) {
+      W.key("original");
+      writeResult(W, *R.Original);
+    }
+    if (R.Optimized) {
+      W.key("optimized");
+      writeResult(W, *R.Optimized);
+    }
+    break;
+  }
+  W.endObject();
+}
+
+/// Streams \p V through \p Write into one string of \p Reserve bytes.
+template <typename T>
+std::string render(const T &V, void (*Write)(JsonWriter &, const T &),
+                   std::size_t Reserve) {
+  std::string Out;
+  Out.reserve(Reserve);
+  JsonWriter W(Out);
+  Write(W, V);
+  return Out;
+}
+
+/// The DOM of a streamed document: toJson() is a parse of the wire text,
+/// so the streaming writers are the only per-field JSON code.
+template <typename T>
+JsonValue reparse(const T &V, void (*Write)(JsonWriter &, const T &)) {
+  std::string Err;
+  std::optional<JsonValue> Doc = parseJson(render(V, Write, 1024), &Err);
+  if (!Doc)
+    reportFatalError(("streamed JSON does not parse: " + Err).c_str());
+  return std::move(*Doc);
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
 // MachineConfig and SimResult: walkers over the api/Fields.h lists
 //===----------------------------------------------------------------------===//
 
 JsonValue offchip::toJson(const MachineConfig &C) {
-  JsonValue O = JsonValue::object();
-  visitConfigFields(C, [&](const char *Key, const auto &V,
-                           FieldOpts Opts = {}) {
-    if (Opts.Written)
-      O.set(Key, wireValue(V));
-  });
-  return O;
+  return reparse(C, writeConfig);
 }
 
 bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
@@ -290,11 +432,7 @@ bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
 }
 
 JsonValue offchip::toJson(const SimResult &R) {
-  JsonValue O = JsonValue::object();
-  visitResultFields(R, [&](const char *Key, const auto &V) {
-    O.set(Key, wireValue(V));
-  });
-  return O;
+  return reparse(R, writeResult);
 }
 
 bool offchip::simResultFromJson(const JsonValue &V, SimResult *R,
@@ -314,28 +452,7 @@ bool offchip::simResultFromJson(const JsonValue &V, SimResult *R,
 //===----------------------------------------------------------------------===//
 
 JsonValue offchip::toJson(const PlanSummary &P) {
-  JsonValue O = JsonValue::object();
-  O.set("program", JsonValue::string(P.ProgramName));
-  O.set("clusters", JsonValue::number(P.NumClusters));
-  O.set("cores_per_cluster_x", JsonValue::number(P.CoresPerClusterX));
-  O.set("cores_per_cluster_y", JsonValue::number(P.CoresPerClusterY));
-  O.set("mcs_per_cluster", JsonValue::number(P.MCsPerCluster));
-  JsonValue Arrays = JsonValue::array();
-  for (const PlanArrayRow &Row : P.Arrays) {
-    JsonValue A = JsonValue::object();
-    A.set("name", JsonValue::string(Row.Name));
-    A.set("optimized", JsonValue::boolean(Row.Optimized));
-    A.set("u", JsonValue::string(Row.U));
-    A.set("note", JsonValue::string(Row.Note));
-    Arrays.push(std::move(A));
-  }
-  O.set("arrays", std::move(Arrays));
-  O.set("arrays_optimized_fraction",
-        JsonValue::number(P.ArraysOptimizedFraction));
-  O.set("refs_satisfied_fraction",
-        JsonValue::number(P.RefsSatisfiedFraction));
-  O.set("source", JsonValue::string(P.TransformedSource));
-  return O;
+  return reparse(P, writePlan);
 }
 
 bool offchip::planSummaryFromJson(const JsonValue &V, PlanSummary *P,
@@ -375,22 +492,7 @@ bool offchip::planSummaryFromJson(const JsonValue &V, PlanSummary *P,
 //===----------------------------------------------------------------------===//
 
 JsonValue offchip::toJson(const SimRequest &R) {
-  JsonValue O = JsonValue::object();
-  if (!R.Id.empty())
-    O.set("id", JsonValue::string(R.Id));
-  O.set("method", JsonValue::string(R.Kind == RequestKind::Optimize
-                                        ? "optimize"
-                                        : "simulate"));
-  if (R.Workload.isApp()) {
-    O.set("app", JsonValue::string(R.Workload.App));
-    O.set("scale", JsonValue::number(R.Workload.SizeScale));
-  } else {
-    O.set("program", JsonValue::string(R.Workload.ProgramText));
-  }
-  if (R.MCsPerCluster != 1)
-    O.set("mcs_per_cluster", JsonValue::number(R.MCsPerCluster));
-  O.set("config", toJson(R.Config));
-  return O;
+  return reparse(R, writeRequest);
 }
 
 bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
@@ -418,9 +520,14 @@ bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
     } else if (Key == "app") {
       Ok = readValue(&M.second, Key, &R->Workload.App, Err);
       SawApp = true;
-    } else if (Key == "scale")
+    } else if (Key == "scale") {
       Ok = readValue(&M.second, Key, &R->Workload.SizeScale, Err);
-    else if (Key == "program") {
+      if (Ok && !validSizeScale(R->Workload.SizeScale))
+        return keyError(Err, Key,
+                        formatString("must be > 0 and at most %g",
+                                     MaxSizeScale)
+                            .c_str());
+    } else if (Key == "program") {
       Ok = readValue(&M.second, Key, &R->Workload.ProgramText, Err);
       SawProgram = true;
     } else if (Key == "mcs_per_cluster")
@@ -447,47 +554,7 @@ bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
 //===----------------------------------------------------------------------===//
 
 JsonValue offchip::toJson(const SimResponse &R) {
-  JsonValue O = JsonValue::object();
-  if (!R.Id.empty())
-    O.set("id", JsonValue::string(R.Id));
-  O.set("status", JsonValue::string(statusName(R.Status)));
-  switch (R.Status) {
-  case ResponseStatus::Overloaded:
-    break;
-  case ResponseStatus::Error: {
-    if (!R.ErrorText.empty())
-      O.set("error", JsonValue::string(R.ErrorText));
-    if (!R.Diagnostics.empty()) {
-      JsonValue Diags = JsonValue::array();
-      for (const ConfigDiagnostic &D : R.Diagnostics) {
-        JsonValue J = JsonValue::object();
-        J.set("field", JsonValue::string(D.Field));
-        J.set("value", JsonValue::string(D.Value));
-        J.set("constraint", JsonValue::string(D.Constraint));
-        J.set("fix", JsonValue::string(D.Fix));
-        Diags.push(std::move(J));
-      }
-      O.set("diagnostics", std::move(Diags));
-    }
-    break;
-  }
-  case ResponseStatus::Ok:
-    O.set("cache", JsonValue::string(R.CacheHit ? "hit" : "miss"));
-    // Written only when set so pre-single-flight response bytes are
-    // unchanged; absent means false on the read side.
-    if (R.Singleflight)
-      O.set("singleflight", JsonValue::boolean(true));
-    if (!R.Key.empty())
-      O.set("key", JsonValue::string(R.Key));
-    O.set("server_seconds", JsonValue::number(R.ServerSeconds));
-    O.set("plan", toJson(R.Plan));
-    if (R.Original)
-      O.set("original", toJson(*R.Original));
-    if (R.Optimized)
-      O.set("optimized", toJson(*R.Optimized));
-    break;
-  }
-  return O;
+  return reparse(R, writeResponse);
 }
 
 bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
@@ -555,9 +622,17 @@ bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
 }
 
 std::string offchip::writeRequestLine(const SimRequest &R) {
-  return toJson(R).write() + "\n";
+  std::string Line = render(R, writeRequest,
+                            2048 + R.Workload.ProgramText.size());
+  Line += '\n';
+  return Line;
 }
 
 std::string offchip::writeResponseLine(const SimResponse &R) {
-  return toJson(R).write() + "\n";
+  // A result object is about 5 KB; the plan is mostly its source text.
+  std::size_t Reserve = 1024 + R.Plan.TransformedSource.size() +
+                        (R.Original ? 6144 : 0) + (R.Optimized ? 6144 : 0);
+  std::string Line = render(R, writeResponse, Reserve);
+  Line += '\n';
+  return Line;
 }

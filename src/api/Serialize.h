@@ -22,7 +22,14 @@
 /// They cover every field equalResults() compares, with exact integer and
 /// %.17g double tokens, so a result survives the wire bit-identically.
 /// Integer fields accept digits only; a sign, fraction or exponent is an
-/// error naming the key.
+/// error naming the key. A request's "scale" must lie in (0, 64]
+/// (validSizeScale()).
+///
+/// Each type has one writer, which streams the JSON text straight into
+/// one string through JsonWriter; writeRequestLine() and
+/// writeResponseLine() are those writers. toJson() is the parse of that
+/// same text, for callers that want a DOM, so it writes back to the
+/// identical bytes.
 ///
 //===----------------------------------------------------------------------===//
 

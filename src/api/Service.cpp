@@ -2,10 +2,12 @@
 
 #include "api/Service.h"
 
+#include "api/ContentHash.h"
 #include "api/Execute.h"
 
 #include <future>
 #include <memory>
+#include <optional>
 #include <utility>
 
 using namespace offchip;
@@ -19,114 +21,126 @@ SimService::SimService(ServiceOptions Opts, Executor Exec)
 
 SimService::~SimService() { drain(); }
 
-void SimService::submit(SimRequest R, DoneFn Done) {
-  bool Reject = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Pending >= Opts.QueueDepth) {
-      ++Rejected;
-      Reject = true;
-    } else {
-      ++Pending;
-      ++Admitted;
-    }
-  }
-  if (Reject) {
-    // Answer on the caller's thread — admission control must stay cheap
-    // and never wait for a worker — but outside Mu: the callback may take
-    // locks of its own, and holding Mu across it would order them against
-    // every other service operation.
-    SimResponse Resp;
-    Resp.Id = R.Id;
-    Resp.Status = ResponseStatus::Overloaded;
-    Done(std::move(Resp));
-    return;
-  }
-  auto Shared = std::make_shared<std::pair<SimRequest, DoneFn>>(
-      std::move(R), std::move(Done));
-  Pool.submit([this, Shared]() {
-    process(Shared->first, Shared->second);
-    std::lock_guard<std::mutex> Lock(Mu);
-    --Pending;
-    ++Completed;
-    if (Pending == 0)
-      Idle.notify_all();
-  });
+namespace {
+
+/// The client-neutral copy the cache stores; lookups re-stamp the
+/// per-request fields.
+SimResponse cacheEntry(const SimResponse &Resp) {
+  SimResponse Entry = Resp;
+  Entry.Id.clear();
+  Entry.CacheHit = false;
+  Entry.Key.clear();
+  return Entry;
 }
 
-void SimService::process(const SimRequest &R, const DoneFn &Done) {
+} // namespace
+
+void SimService::submit(SimRequest R, DoneFn Done) {
   CacheKey Key = requestKey(R);
-  std::string KeyStr = Key.str();
   // Tracing requests must actually run (the trace files are the point), so
   // they bypass the cache lookup and single-flight merging; their computed
   // result still refreshes the cache for everyone else.
-  if (R.TracePrefix.empty()) {
+  const bool Traced = !R.TracePrefix.empty();
+  std::optional<SimResponse> Hit;
+  bool Leader = false;
+  {
     // One atomic decision under Mu: attach to an in-flight leader, answer
     // from the cache, or become the leader for this key. The nesting
     // Mu -> ResultCache's internal lock is one-directional (the cache
     // never calls back into the service), and no callback ever runs under
     // Mu.
-    {
-      std::unique_lock<std::mutex> Lock(Mu);
-      auto It = InFlight.find(KeyStr);
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (!Traced) {
+      auto It = InFlight.find(Key);
       if (It != InFlight.end()) {
-        It->second.push_back({R.Id, Done});
+        // The leader invokes this waiter's Done when it finishes and
+        // retires it with its own answer.
+        It->second.push_back({std::move(R.Id), std::move(Done)});
         ++SingleflightHits;
-        // The leader invokes this waiter's Done when it finishes; this
-        // worker slot frees up, but the leader's Pending keeps drain()
-        // waiting until every attached callback has fired.
+        ++Admitted;
+        ++Pending;
         return;
       }
-      if (std::optional<SimResponse> Hit = Cache.lookup(Key)) {
-        Lock.unlock();
-        Hit->Id = R.Id;
-        Hit->CacheHit = true;
-        Hit->Key = KeyStr;
-        Done(std::move(*Hit));
-        return;
-      }
-      InFlight.emplace(KeyStr, std::vector<Waiter>());
+      Hit = Cache.lookup(Key);
     }
-    SimResponse Resp = Exec(R);
-    std::vector<Waiter> Waiters;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (Resp.ok()) {
-        // Store a client-neutral copy; lookup() re-stamps per-request
-        // fields. Insert before retiring the key so no request can miss
-        // both the registry and the cache.
-        SimResponse Entry = Resp;
-        Entry.Id.clear();
-        Entry.CacheHit = false;
-        Entry.Key.clear();
-        Cache.insert(Key, Entry);
-      }
-      auto It = InFlight.find(KeyStr);
+    if (Hit) {
+      ++Admitted;
+      ++Pending;
+    } else if (Queued < Opts.QueueDepth) {
+      ++Admitted;
+      ++Pending;
+      ++Queued;
+      if (!Traced)
+        InFlight.emplace(Key, std::vector<Waiter>());
+      Leader = true;
+    } else {
+      ++Rejected;
+    }
+  }
+  if (Leader) {
+    // Registered above, so identical requests attach from here on.
+    Pool.submit([this, J = std::make_shared<Job>(
+                           Job{std::move(R), std::move(Done), Key})] {
+      execute(*J);
+    });
+    return;
+  }
+  // Both remaining answers go out on the caller's thread — a hit or an
+  // admission decision never waits for a worker — but outside Mu: the
+  // callback may take locks of its own, and holding Mu across it would
+  // order them against every other service operation.
+  if (Hit) {
+    Hit->Id = std::move(R.Id);
+    Hit->CacheHit = true;
+    Hit->Key = Key.str();
+    Done(std::move(*Hit));
+    finish(1, /*FreesSlot=*/false);
+    return;
+  }
+  SimResponse Resp;
+  Resp.Id = std::move(R.Id);
+  Resp.Status = ResponseStatus::Overloaded;
+  Done(std::move(Resp));
+}
+
+void SimService::execute(Job &J) {
+  SimResponse Resp = Exec(J.Req);
+  std::optional<SimResponse> Entry;
+  if (Resp.ok())
+    Entry = cacheEntry(Resp);
+  std::vector<Waiter> Waiters;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    // Insert before retiring the key so no request can miss both the
+    // registry and the cache.
+    if (Entry)
+      Cache.insert(J.Key, *Entry);
+    if (J.Req.TracePrefix.empty()) {
+      auto It = InFlight.find(J.Key);
       Waiters = std::move(It->second);
       InFlight.erase(It);
     }
-    Resp.CacheHit = false;
-    Resp.Key = KeyStr;
-    for (Waiter &W : Waiters) {
-      SimResponse Copy = Resp;
-      Copy.Id = W.Id;
-      Copy.Singleflight = true;
-      W.Done(std::move(Copy));
-    }
-    Done(std::move(Resp));
-    return;
-  }
-  SimResponse Resp = Exec(R);
-  if (Resp.ok()) {
-    SimResponse Entry = Resp;
-    Entry.Id.clear();
-    Entry.CacheHit = false;
-    Entry.Key.clear();
-    Cache.insert(Key, Entry);
   }
   Resp.CacheHit = false;
-  Resp.Key = KeyStr;
-  Done(std::move(Resp));
+  Resp.Key = J.Key.str();
+  for (Waiter &W : Waiters) {
+    SimResponse Copy = Resp;
+    Copy.Id = std::move(W.Id);
+    Copy.Singleflight = true;
+    W.Done(std::move(Copy));
+  }
+  J.Done(std::move(Resp));
+  finish(1 + Waiters.size(), /*FreesSlot=*/true);
+}
+
+void SimService::finish(std::size_t Answered, bool FreesSlot) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  Pending -= Answered;
+  Completed += Answered;
+  if (FreesSlot)
+    --Queued;
+  if (Pending == 0)
+    Idle.notify_all();
 }
 
 SimResponse SimService::call(SimRequest R) {

@@ -7,11 +7,19 @@
 /// a miss. Identical concurrent misses are merged (single-flight): the
 /// first becomes the leader and executes, later ones attach as waiters and
 /// receive the leader's result, so a stampede of equal requests costs one
-/// simulation. Admission is explicit backpressure — when QueueDepth requests
-/// are already admitted but unanswered, submit() answers Overloaded
-/// immediately instead of queueing unboundedly; nothing admitted is ever
-/// dropped. The completion callback is invoked exactly once per submit(),
-/// on a worker thread (or on the caller's thread for Overloaded answers).
+/// simulation.
+///
+/// submit() decides on the caller's thread, in one step under the service
+/// lock: attach to an in-flight leader, answer from the cache, or become
+/// the leader and enqueue. So a hit never waits for a worker — it is
+/// answered while every worker computes a miss. Only leaders (and traced
+/// requests, which always execute) pass admission: when QueueDepth of them
+/// are admitted but unanswered, submit() answers Overloaded immediately
+/// instead of queueing unboundedly. Hits and attaches take no queue slot;
+/// nothing admitted is ever dropped. The completion callback is invoked
+/// exactly once per submit(): on the caller's thread for hits and
+/// Overloaded answers, on a worker thread for executed requests and the
+/// waiters attached to them.
 ///
 /// The executor is injectable so tests can hold requests open and observe
 /// backpressure/drain behaviour deterministically; production uses
@@ -28,16 +36,18 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
+#include <unordered_map>
+#include <vector>
 
 namespace offchip {
 
 struct ServiceOptions {
   /// Simulation worker threads (0 = one per hardware thread).
   unsigned Workers = 0;
-  /// Maximum admitted-but-unanswered requests before submit() answers
-  /// Overloaded.
+  /// Maximum requests queued for or running on a worker before submit()
+  /// answers Overloaded. Cache hits and single-flight attaches take no
+  /// slot.
   std::size_t QueueDepth = 64;
   /// Result cache entries (0 disables caching).
   std::size_t CacheCapacity = 256;
@@ -60,9 +70,11 @@ public:
   SimService(const SimService &) = delete;
   SimService &operator=(const SimService &) = delete;
 
-  /// Admits \p R or answers Overloaded on the spot. \p Done runs on a
-  /// worker thread for admitted requests and synchronously on the caller's
-  /// thread for Overloaded ones; it must not block on this service.
+  /// Answers \p R from the cache, attaches it to an identical in-flight
+  /// request, admits it to the worker queue, or answers Overloaded when
+  /// the queue is full. \p Done runs synchronously on the caller's thread
+  /// for cache hits and Overloaded answers, and on a worker thread for
+  /// executed and attached requests; it must not block on this service.
   void submit(SimRequest R, DoneFn Done);
 
   /// Synchronous convenience: submit + wait for the answer.
@@ -85,7 +97,17 @@ public:
   unsigned workers() const { return Pool.threadCount(); }
 
 private:
-  void process(const SimRequest &R, const DoneFn &Done);
+  /// One admitted request on its way to a worker, with the key submit()
+  /// computed for it.
+  struct Job {
+    SimRequest Req;
+    DoneFn Done;
+    CacheKey Key;
+  };
+  void execute(Job &J);
+  /// Retires \p Answered answered requests; \p FreesSlot when one of them
+  /// held a queue slot.
+  void finish(std::size_t Answered, bool FreesSlot);
 
   const ServiceOptions Opts;
   Executor Exec;
@@ -94,18 +116,19 @@ private:
   mutable std::mutex Mu;
   std::condition_variable Idle;
   std::size_t Pending = 0; // admitted, not yet answered
+  std::size_t Queued = 0;  // admitted to the workers, not yet answered
   std::uint64_t Admitted = 0, Rejected = 0, Completed = 0;
   std::uint64_t SingleflightHits = 0;
   /// Single-flight registry: content key -> waiters for the in-flight
-  /// execution of that key. An entry exists exactly while one worker (the
-  /// leader) is executing the key; attachers park their (Id, Done) here and
-  /// the leader answers them when it finishes. Guarded by Mu; the callbacks
+  /// execution of that key. An entry exists exactly while the key's leader
+  /// is queued or executing; attachers park their (Id, Done) here and the
+  /// leader answers them when it finishes. Guarded by Mu; the callbacks
   /// are always invoked outside it.
   struct Waiter {
     std::string Id;
     DoneFn Done;
   };
-  std::map<std::string, std::vector<Waiter>> InFlight;
+  std::unordered_map<CacheKey, std::vector<Waiter>, CacheKeyHash> InFlight;
 
   ThreadPool Pool; // last member: workers must die before the state above
 };

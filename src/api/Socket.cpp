@@ -69,11 +69,24 @@ bool offchip::sendAll(int Fd, const std::string &Data) {
   return true;
 }
 
+bool LineReader::overflow() {
+  Overflow = true;
+  std::string().swap(Buf);
+  Pos = 0;
+  return false;
+}
+
 bool LineReader::readLine(std::string *Line) {
+  if (Overflow)
+    return false;
+  // Bytes before From hold no terminator; each chunk is scanned once.
+  std::size_t From = Pos;
   for (;;) {
-    std::size_t NL = Buf.find('\n', Pos);
+    std::size_t NL = Buf.find('\n', From);
     if (NL != std::string::npos) {
       std::size_t Len = NL - Pos;
+      if (Len > MaxLineBytes)
+        return overflow();
       if (Len > 0 && Buf[Pos + Len - 1] == '\r')
         --Len;
       Line->assign(Buf, Pos, Len);
@@ -86,6 +99,9 @@ bool LineReader::readLine(std::string *Line) {
       }
       return true;
     }
+    From = Buf.size();
+    if (Buf.size() - Pos > MaxLineBytes)
+      return overflow();
     if (Eof) {
       if (Pos < Buf.size()) {
         std::size_t Len = Buf.size() - Pos;

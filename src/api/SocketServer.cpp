@@ -20,8 +20,9 @@
 
 using namespace offchip;
 
-/// One accepted client. Response callbacks run on service worker threads,
-/// so writes are serialized by WriteMu and the reader thread waits for
+/// One accepted client. Response callbacks run on service worker threads
+/// (and, for cache hits, on this connection's reader thread), so writes
+/// are serialized by WriteMu and the reader thread waits for
 /// Outstanding to hit zero before it lets the connection wind down — a
 /// half-closed client still gets every answer it is owed.
 struct SocketServer::Connection {
@@ -222,9 +223,20 @@ void SocketServer::serveConnection(const std::shared_ptr<Connection> &Conn) {
       continue;
     handleLine(Conn, Line);
   }
-  // EOF (or our own SHUT_RD): answer everything already admitted, then
-  // signal the writing side so `nc -N`-style half-closing clients see a
-  // clean end of stream.
+  if (Reader.overflowed()) {
+    // An unterminated line past the cap: one error line, then the
+    // connection winds down like an EOF; the unread rest is dropped.
+    NumParseErrors.fetch_add(1, std::memory_order_relaxed);
+    SimResponse Resp;
+    Resp.Status = ResponseStatus::Error;
+    Resp.ErrorText = formatString(
+        "request line exceeds %zu bytes; closing the connection",
+        LineReader::MaxLineBytes);
+    Conn->writeLine(writeResponseLine(Resp));
+  }
+  // EOF, overflow or our own SHUT_RD: answer everything already admitted,
+  // then signal the writing side so `nc -N`-style half-closing clients see
+  // a clean end of stream.
   Conn->awaitQuiescent();
   shutdown(Conn->Fd, SHUT_WR);
   Conn->Finished.store(true);

@@ -7,7 +7,10 @@
 /// the echoed id is the correlation). Requests are answered through a
 /// SimService, so admission control, caching and worker scheduling live
 /// there; this layer owns only accept/read/write and the server-level
-/// `ping`, `apps` and `stats` methods.
+/// `ping`, `apps` and `stats` methods. A cache hit is answered on the
+/// connection's own thread, inside SimService::submit(). A request line
+/// longer than LineReader::MaxLineBytes gets one error line, and the
+/// connection is closed.
 ///
 /// Shutdown is graceful by construction: requestStop() is
 /// async-signal-safe (a self-pipe write), the accept loop stops taking new

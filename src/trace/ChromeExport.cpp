@@ -52,11 +52,14 @@ const char *dirName(unsigned Dir) {
   return Names[Dir & 3];
 }
 
-} // namespace
+/// Bytes rendered between two writes when streaming to a file.
+constexpr std::size_t ChunkBytes = 1 << 20;
 
-std::string offchip::renderChromeTrace(const TraceData &D) {
-  std::string Out;
-  Out.reserve(D.Events.size() * 96 + 4096);
+/// Renders \p D into \p Out. With a \p File, every ChunkBytes of events
+/// are written to it and dropped from \p Out, so writing a trace holds one
+/// chunk in memory rather than the whole text; the last partial chunk is
+/// left in \p Out.
+void renderTo(const TraceData &D, std::string &Out, std::ostream *File) {
   Out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
 
   // Track metadata: names for the three pids and every tid that can appear.
@@ -129,19 +132,34 @@ std::string offchip::renderChromeTrace(const TraceData &D) {
         (unsigned long long)E.Dur, Pid, Tid, Thread, E.Node,
         (unsigned long long)E.Addr, (unsigned long long)E.Aux);
     Out += I + 1 < D.Events.size() ? ",\n" : "\n";
+    if (File && Out.size() >= ChunkBytes) {
+      File->write(Out.data(), static_cast<std::streamsize>(Out.size()));
+      Out.clear();
+    }
   }
   Out += formatString("],\"otherData\":{\"emitted_events\":%llu,"
                       "\"dropped_events\":%llu,\"sample_cycles\":%u}}\n",
                       (unsigned long long)D.EmittedEvents,
                       (unsigned long long)D.DroppedEvents,
                       D.Config.SampleCycles);
+}
+
+} // namespace
+
+std::string offchip::renderChromeTrace(const TraceData &D) {
+  std::string Out;
+  Out.reserve(D.Events.size() * 96 + 4096);
+  renderTo(D, Out, nullptr);
   return Out;
 }
 
 bool offchip::writeChromeTrace(const TraceData &D, const std::string &Path) {
-  std::ofstream Out(Path, std::ios::trunc | std::ios::binary);
-  if (!Out)
+  std::ofstream File(Path, std::ios::trunc | std::ios::binary);
+  if (!File)
     return false;
-  Out << renderChromeTrace(D);
-  return static_cast<bool>(Out);
+  std::string Out;
+  Out.reserve(ChunkBytes + 4096);
+  renderTo(D, Out, &File);
+  File.write(Out.data(), static_cast<std::streamsize>(Out.size()));
+  return static_cast<bool>(File);
 }

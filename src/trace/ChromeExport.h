@@ -1,7 +1,7 @@
 //===- trace/ChromeExport.h - Chrome/Perfetto trace.json export -*- C++ -*-===//
 ///
 /// \file
-/// Renders a TraceData as a Chrome trace-event-format JSON string, loadable
+/// Renders a TraceData as Chrome trace-event-format JSON, loadable
 /// in Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps are
 /// simulated cycles, not microseconds; every value is an integer, so the
 /// output is byte-deterministic — equal TraceData renders to equal bytes,
@@ -21,11 +21,13 @@
 
 namespace offchip {
 
-/// The whole trace.json, ready to write to disk.
+/// The whole trace.json as one string (tests compare renders).
 std::string renderChromeTrace(const TraceData &D);
 
-/// Renders to \p Path; \returns false (and leaves a partial file possible)
-/// on I/O failure.
+/// Renders to \p Path, writing the text chunk by chunk as it is rendered,
+/// so memory holds one chunk rather than the whole file (an uncapped trace
+/// runs to gigabytes); the bytes equal renderChromeTrace()'s. \returns
+/// false (and leaves a partial file possible) on I/O failure.
 bool writeChromeTrace(const TraceData &D, const std::string &Path);
 
 } // namespace offchip

@@ -20,9 +20,13 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <random>
+#include <set>
 #include <thread>
+#include <utility>
 
 using namespace offchip;
 
@@ -201,6 +205,26 @@ TEST(Serialize, RequestRejectsBadInput) {
                         &Err));
   EXPECT_NE(Err.find("mash_x"), std::string::npos);
   EXPECT_FALSE(parseReq("not json at all", &Err));
+}
+
+TEST(Serialize, RequestScaleIsBounded) {
+  auto parseScale = [](const std::string &Scale, std::string *Err) {
+    std::optional<JsonValue> V = parseJson(
+        "{\"method\":\"optimize\",\"app\":\"swim\",\"scale\":" + Scale +
+            "}",
+        Err);
+    SimRequest R;
+    return V && requestFromJson(*V, &R, Err);
+  };
+  std::string Err;
+  for (const char *Bad : {"0", "-0.5", "1e300", "64.000001", "-1e-300"}) {
+    EXPECT_FALSE(parseScale(Bad, &Err)) << Bad;
+    EXPECT_NE(Err.find("'scale'"), std::string::npos) << Bad << ": " << Err;
+  }
+  // Every scale the benches, perfbench and the tests use, and the bound.
+  for (const char *Good : {"0.1", "0.25", "0.5", "0.6", "0.75", "1", "1e-9",
+                           "10.5", "64"})
+    EXPECT_TRUE(parseScale(Good, &Err)) << Good << ": " << Err;
 }
 
 TEST(Serialize, MachineConfigFullRoundtrip) {
@@ -641,6 +665,82 @@ TEST(ResultCache, ConcurrentHitsAndMisses) {
 // Service
 //===----------------------------------------------------------------------===//
 
+/// tinySimulate() made distinct by \p Tag, which Gates reads back.
+SimRequest tagged(char Tag, const std::string &Id) {
+  SimRequest R = tinySimulate();
+  R.Id = Id;
+  R.Workload.ProgramText += std::string("# tag ") + Tag + "\n";
+  return R;
+}
+
+char tagOf(const SimRequest &R) {
+  const std::string &Text = R.Workload.ProgramText;
+  return Text[Text.size() - 2];
+}
+
+/// An executor that holds each request until the gate of its tag opens and
+/// counts executions per tag; its answer names the tag as the program.
+class Gates {
+public:
+  SimService::Executor executor() {
+    return [this](const SimRequest &R) {
+      char Tag = tagOf(R);
+      std::unique_lock<std::mutex> Lock(Mu);
+      ++Started[Tag];
+      Cv.notify_all();
+      Cv.wait(Lock, [&] { return Open.count(Tag) != 0; });
+      SimResponse Resp;
+      Resp.Status = ResponseStatus::Ok;
+      Resp.Plan.ProgramName = std::string(1, Tag);
+      Resp.ServerSeconds = 0.5;
+      return Resp;
+    };
+  }
+
+  void open(char Tag) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Open.insert(Tag);
+    Cv.notify_all();
+  }
+
+  void awaitStarted(char Tag) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return Started[Tag] != 0; });
+  }
+
+  unsigned started(char Tag) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Started[Tag];
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  std::set<char> Open;
+  std::map<char, unsigned> Started;
+};
+
+/// Collects completion callbacks from any thread.
+class Answers {
+public:
+  SimService::DoneFn done() {
+    return [this](SimResponse Resp) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Got.push_back(std::move(Resp));
+    };
+  }
+
+  /// The answers so far, removed from the collector.
+  std::vector<SimResponse> take() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return std::exchange(Got, {});
+  }
+
+private:
+  std::mutex Mu;
+  std::vector<SimResponse> Got;
+};
+
 TEST(Service, ServedEqualsDirectAndSecondCallHits) {
   SimService Service({/*Workers=*/2, /*QueueDepth=*/8, /*CacheCapacity=*/8});
   SimRequest R = tinySimulate();
@@ -809,11 +909,12 @@ TEST(Service, SingleflightMergesIdenticalConcurrentRequests) {
     R.Id = "client" + std::to_string(I);
     Service.submit(R, Done);
   }
-  // Wait until the three followers have attached to the leader; only then
-  // is releasing the gate race-free (a follower arriving after completion
-  // would be a cache hit instead, which is correct but not what this test
-  // pins).
-  while (Service.stats().SingleflightHits < N - 1)
+  // submit() attaches on the spot, so the three followers are parked on
+  // the leader before the gate can open (a follower arriving after
+  // completion would be a cache hit instead, which is correct but not what
+  // this test pins).
+  EXPECT_EQ(Service.stats().SingleflightHits, N - 1);
+  while (Executions.load() == 0)
     std::this_thread::yield();
   EXPECT_EQ(Executions.load(), 1u);
   {
@@ -853,101 +954,153 @@ TEST(Service, SingleflightMergesIdenticalConcurrentRequests) {
 }
 
 TEST(Service, SingleflightUnderOverloadStillAnswersEverySubmit) {
-  // Both workers gated on distinct content, queue filled, one rejection —
-  // then the freed worker merges the queued identical requests onto the
-  // still-running leader. Exactly one answer per submit, one execution per
-  // distinct content.
-  std::mutex Mu;
-  std::condition_variable Cv;
-  bool OpenA = false, OpenB = false;
-  std::atomic<unsigned> ExecA{0}, ExecB{0};
-  auto GateExec = [&](const SimRequest &R) {
-    bool IsB = R.Workload.ProgramText.find("array b") != std::string::npos;
-    (IsB ? ExecB : ExecA).fetch_add(1);
-    std::unique_lock<std::mutex> Lock(Mu);
-    Cv.wait(Lock, [&] { return IsB ? OpenB : OpenA; });
-    SimResponse Resp;
-    Resp.Id = R.Id;
-    Resp.Status = ResponseStatus::Ok;
-    Resp.Plan.ProgramName = IsB ? "b" : "a";
-    Resp.ServerSeconds = 0.5;
-    return Resp;
-  };
-  SimService Service({/*Workers=*/2, /*QueueDepth=*/4, /*CacheCapacity=*/8},
-                     GateExec);
+  // Both workers gated on distinct content and a third leader queued fill
+  // the queue. Identical requests still attach (they take no queue slot);
+  // new content is rejected, and the rejection leaves nothing behind, so
+  // the same content resubmitted later executes. Exactly one answer per
+  // submit, one execution per admitted distinct content.
+  Gates G;
+  SimService Service({/*Workers=*/2, /*QueueDepth=*/3, /*CacheCapacity=*/8},
+                     G.executor());
+  Answers Got;
 
-  std::mutex DoneMu;
-  std::vector<SimResponse> Answers;
-  auto Done = [&](SimResponse Resp) {
-    std::lock_guard<std::mutex> Lock(DoneMu);
-    Answers.push_back(std::move(Resp));
-  };
-
-  SimRequest A = tinySimulate();
-  A.Id = "leader";
-  SimRequest B = tinySimulate();
-  B.Workload.ProgramText =
-      "\nprogram other\narray b dims 16 16 elem 8\n\nnest sweep bounds 0:16 "
-      "0:16 parallel 0\n  read b [ i1, i0 ]\nend\n";
-  B.Id = "other";
-
-  Service.submit(A, Done);
-  while (ExecA.load() == 0)
-    std::this_thread::yield();
-  Service.submit(B, Done);
-  while (ExecB.load() == 0)
-    std::this_thread::yield();
-
-  // Both workers blocked; these two identical-to-A requests queue up.
-  SimRequest A2 = A, A3 = A;
-  A2.Id = "w2";
-  A3.Id = "w3";
-  Service.submit(A2, Done);
-  Service.submit(A3, Done);
-  // Pending == QueueDepth: the next submit is rejected on the spot.
-  SimRequest A4 = A;
-  A4.Id = "rejected";
-  Service.submit(A4, Done);
+  Service.submit(tagged('a', "leader"), Got.done());
+  G.awaitStarted('a');
+  Service.submit(tagged('b', "other"), Got.done());
+  G.awaitStarted('b');
+  Service.submit(tagged('c', "queued"), Got.done());
+  Service.submit(tagged('a', "w2"), Got.done());
+  Service.submit(tagged('a', "w3"), Got.done());
+  EXPECT_EQ(Service.stats().SingleflightHits, 2u);
+  // Three leaders hold the three queue slots: new content is rejected on
+  // the spot.
+  Service.submit(tagged('d', "rejected"), Got.done());
   {
-    std::lock_guard<std::mutex> Lock(DoneMu);
-    ASSERT_EQ(Answers.size(), 1u);
-    EXPECT_EQ(Answers[0].Status, ResponseStatus::Overloaded);
-    EXPECT_EQ(Answers[0].Id, "rejected");
+    std::vector<SimResponse> Now = Got.take();
+    ASSERT_EQ(Now.size(), 1u);
+    EXPECT_EQ(Now[0].Status, ResponseStatus::Overloaded);
+    EXPECT_EQ(Now[0].Id, "rejected");
   }
 
-  // Free worker 2: it drains the queued w2/w3, which attach to the gated
-  // leader instead of executing.
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    OpenB = true;
-  }
-  Cv.notify_all();
-  while (Service.stats().SingleflightHits < 2)
-    std::this_thread::yield();
-  EXPECT_EQ(ExecA.load(), 1u);
-
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    OpenA = true;
-  }
-  Cv.notify_all();
+  for (char Tag : {'a', 'b', 'c', 'd'})
+    G.open(Tag);
   Service.drain();
 
-  std::lock_guard<std::mutex> Lock(DoneMu);
-  ASSERT_EQ(Answers.size(), 5u); // one answer per submit, none lost
-  EXPECT_EQ(ExecA.load(), 1u);
-  EXPECT_EQ(ExecB.load(), 1u);
+  std::vector<SimResponse> All = Got.take();
+  ASSERT_EQ(All.size(), 5u); // one answer per admitted submit, none lost
   unsigned Merged = 0;
-  for (const SimResponse &R : Answers)
-    if (R.ok() && R.Plan.ProgramName == "a") {
+  for (const SimResponse &R : All) {
+    ASSERT_TRUE(R.ok()) << R.Id;
+    if (R.Plan.ProgramName == "a") {
       Merged += R.Singleflight;
       EXPECT_EQ(R.ServerSeconds, 0.5);
     }
+  }
   EXPECT_EQ(Merged, 2u);
+  for (char Tag : {'a', 'b', 'c'})
+    EXPECT_EQ(G.started(Tag), 1u) << Tag;
+  EXPECT_EQ(G.started('d'), 0u);
+  SimService::Stats S = Service.stats();
+  EXPECT_EQ(S.Admitted, 5u);
+  EXPECT_EQ(S.Rejected, 1u);
+  EXPECT_EQ(S.Completed, 5u);
+  EXPECT_EQ(S.SingleflightHits, 2u);
+
+  // The rejected content left no single-flight entry to attach to.
+  SimResponse Retry = Service.call(tagged('d', "retry"));
+  ASSERT_TRUE(Retry.ok());
+  EXPECT_FALSE(Retry.Singleflight);
+  EXPECT_FALSE(Retry.CacheHit);
+  EXPECT_EQ(G.started('d'), 1u);
+}
+
+TEST(Service, HitAnsweredWhileWorkersBusy) {
+  // The cache decision is made on the submitting thread, so a hit is
+  // answered while every worker is held on a miss.
+  Gates G;
+  G.open('h');
+  SimService Service({/*Workers=*/2, /*QueueDepth=*/8, /*CacheCapacity=*/8},
+                     G.executor());
+  ASSERT_TRUE(Service.call(tagged('h', "warm")).ok());
+
+  Answers Got;
+  Service.submit(tagged('x', "busy1"), Got.done());
+  Service.submit(tagged('y', "busy2"), Got.done());
+  G.awaitStarted('x');
+  G.awaitStarted('y');
+  Service.submit(tagged('h', "hit"), Got.done());
+  {
+    // Answered before submit() returned, with both workers still gated.
+    std::vector<SimResponse> Now = Got.take();
+    ASSERT_EQ(Now.size(), 1u);
+    EXPECT_EQ(Now[0].Id, "hit");
+    EXPECT_TRUE(Now[0].ok());
+    EXPECT_TRUE(Now[0].CacheHit);
+    EXPECT_EQ(Now[0].Key, requestKey(tagged('h', "")).str());
+  }
+  G.open('x');
+  G.open('y');
+  Service.drain();
+  EXPECT_EQ(Got.take().size(), 2u);
+  EXPECT_EQ(G.started('h'), 1u);
   SimService::Stats S = Service.stats();
   EXPECT_EQ(S.Admitted, 4u);
-  EXPECT_EQ(S.Rejected, 1u);
-  EXPECT_EQ(S.SingleflightHits, 2u);
+  EXPECT_EQ(S.Completed, 4u);
+  EXPECT_EQ(S.Cache.Hits, 1u);
+}
+
+TEST(Service, AttachWhileLeaderQueued) {
+  // One worker, held on other content: the leader for 'a' waits in the
+  // queue, and an identical request attaches to it there instead of
+  // queueing a second execution.
+  Gates G;
+  SimService Service({/*Workers=*/1, /*QueueDepth=*/8, /*CacheCapacity=*/8},
+                     G.executor());
+  Answers Got;
+  Service.submit(tagged('x', "busy"), Got.done());
+  G.awaitStarted('x');
+  Service.submit(tagged('a', "leader"), Got.done());
+  Service.submit(tagged('a', "follower"), Got.done());
+  EXPECT_EQ(Service.stats().SingleflightHits, 1u);
+  EXPECT_EQ(G.started('a'), 0u); // the leader has not started yet
+
+  G.open('x');
+  G.open('a');
+  Service.drain();
+  std::vector<SimResponse> All = Got.take();
+  ASSERT_EQ(All.size(), 3u);
+  EXPECT_EQ(G.started('a'), 1u);
+  unsigned Merged = 0;
+  for (const SimResponse &R : All) {
+    ASSERT_TRUE(R.ok()) << R.Id;
+    Merged += R.Singleflight;
+    if (R.Id == "follower") {
+      EXPECT_TRUE(R.Singleflight);
+      EXPECT_EQ(R.Plan.ProgramName, "a");
+    }
+  }
+  EXPECT_EQ(Merged, 1u);
+  SimService::Stats S = Service.stats();
+  EXPECT_EQ(S.Admitted, 3u);
+  EXPECT_EQ(S.Completed, 3u);
+}
+
+TEST(Service, OutOfRangeScaleIsAnErrorNamingScale) {
+  // An in-process request skips the JSON reader's check; the executor
+  // rejects the scale before any workload is built.
+  SimService Service({1, 8, 8});
+  for (double Scale : {0.0, -1.0, 1e300, MaxSizeScale * 2,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    SimRequest R;
+    R.Kind = RequestKind::Optimize;
+    R.Workload.App = "swim";
+    R.Workload.SizeScale = Scale;
+    SimResponse Resp = Service.call(R);
+    EXPECT_EQ(Resp.Status, ResponseStatus::Error) << Scale;
+    ASSERT_EQ(Resp.Diagnostics.size(), 1u) << Scale;
+    EXPECT_EQ(Resp.Diagnostics[0].Field, "scale");
+  }
+  EXPECT_EQ(Service.stats().Cache.Entries, 0u);
 }
 
 //===----------------------------------------------------------------------===//

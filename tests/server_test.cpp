@@ -3,8 +3,9 @@
 // End-to-end tests of the offchip-serve TCP layer against a real
 // in-process SocketServer on an ephemeral port: the server-level methods
 // (ping/apps/stats), a full optimize request over the wire, malformed-line
-// handling, pipelined ids, the already-bound-port diagnostic, and graceful
-// shutdown (every admitted request answered before run() returns).
+// handling, pipelined ids, the line-length cap, concurrent hits and misses
+// checked against direct runs, the already-bound-port diagnostic, and
+// graceful shutdown (every admitted request answered before run() returns).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +17,14 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <optional>
 #include <set>
 #include <thread>
+#include <vector>
+
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 using namespace offchip;
@@ -200,6 +206,120 @@ TEST_F(ServerTest, GracefulStopDeliversInFlightAnswers) {
   EXPECT_EQ(field(V, "id"), "last");
   EXPECT_EQ(field(V, "status"), "ok");
   EXPECT_EQ(Service->stats().Completed, 1u);
+}
+
+TEST_F(ServerTest, OverlongLineIsCutOffWithoutStallingOthers) {
+  // A client streaming one endless line gets a single error line and is
+  // disconnected once the line passes the cap; the fixture's client is
+  // served normally meanwhile.
+  std::string Err;
+  int Flood = connectTcp("127.0.0.1", Server->port(), &Err);
+  ASSERT_GE(Flood, 0) << Err;
+  // Fail instead of hanging if the server never answers the flood.
+  struct timeval Timeout = {30, 0};
+  setsockopt(Flood, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  std::atomic<std::size_t> Sent{0};
+  std::atomic<bool> Cut{false};
+  std::thread Writer([&] {
+    std::string Chunk(64 * 1024, 'x');
+    // Far past the cap; stops as soon as the server closes the connection.
+    while (Sent.load() < 16 * LineReader::MaxLineBytes) {
+      if (!sendAll(Flood, Chunk)) {
+        Cut = true;
+        return;
+      }
+      Sent += Chunk.size();
+    }
+  });
+  while (Sent.load() < LineReader::MaxLineBytes / 4 && !Cut.load())
+    std::this_thread::yield();
+  SimRequest R;
+  R.Id = "during-flood";
+  R.Kind = RequestKind::Optimize;
+  R.Workload.ProgramText = TinyProgram;
+  std::string Line = writeRequestLine(R);
+  JsonValue Answer = roundtrip(Line.substr(0, Line.size() - 1));
+  EXPECT_EQ(field(Answer, "id"), "during-flood");
+  EXPECT_EQ(field(Answer, "status"), "ok");
+  EXPECT_EQ(field(roundtrip("{\"id\":\"p\",\"method\":\"ping\"}"), "id"),
+            "p");
+
+  Writer.join();
+  EXPECT_TRUE(Cut.load()) << "the server kept reading the endless line";
+  LineReader FloodReader(Flood);
+  std::string Reply;
+  ASSERT_TRUE(FloodReader.readLine(&Reply));
+  std::optional<JsonValue> V = parseJson(Reply, &Err);
+  ASSERT_TRUE(V.has_value()) << Err << " in: " << Reply;
+  EXPECT_EQ(field(*V, "status"), "error");
+  EXPECT_NE(field(*V, "error").find("exceeds"), std::string::npos) << Reply;
+  EXPECT_FALSE(FloodReader.readLine(&Reply)) << "connection left open";
+  ::close(Flood);
+  EXPECT_EQ(Server->counters().ParseErrors, 1u);
+}
+
+TEST_F(ServerTest, ConcurrentHitsAndMissesMatchDirectRuns) {
+  // Four connections on two workers repeat three Simulate contents, so
+  // misses, single-flight attaches and cache hits (answered on the
+  // connection threads) interleave. Every answer must equal a direct run.
+  constexpr unsigned Clients = 4, PerClient = 6, Contents = 3;
+  std::vector<SimRequest> Reqs(Contents);
+  std::vector<SimResponse> Direct(Contents);
+  for (unsigned K = 0; K < Contents; ++K) {
+    Reqs[K].Kind = RequestKind::Simulate;
+    Reqs[K].Workload.ProgramText =
+        std::string(TinyProgram) + "# item " + std::to_string(K) + "\n";
+    Direct[K] = executeRequest(Reqs[K]);
+    ASSERT_TRUE(Direct[K].ok());
+  }
+
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned C = 0; C < Clients; ++C)
+    Threads.emplace_back([&, C] {
+      std::string Err;
+      int ClientFd = connectTcp("127.0.0.1", Server->port(), &Err);
+      ASSERT_GE(ClientFd, 0) << Err;
+      LineReader In(ClientFd);
+      while (!Go.load())
+        std::this_thread::yield();
+      for (unsigned I = 0; I < PerClient; ++I) {
+        unsigned K = (C + I) % Contents;
+        SimRequest R = Reqs[K];
+        R.Id = "c" + std::to_string(C) + "-" + std::to_string(I);
+        ASSERT_TRUE(sendAll(ClientFd, writeRequestLine(R)));
+        std::string Line;
+        ASSERT_TRUE(In.readLine(&Line));
+        std::optional<JsonValue> V = parseJson(Line, &Err);
+        ASSERT_TRUE(V.has_value()) << Err;
+        SimResponse Served;
+        ASSERT_TRUE(responseFromJson(*V, &Served, &Err)) << Err;
+        ASSERT_TRUE(Served.ok()) << Line;
+        EXPECT_EQ(Served.Id, R.Id);
+        EXPECT_EQ(Served.Key, requestKey(R).str());
+        std::string Why;
+        EXPECT_TRUE(equalResults(*Served.Original, *Direct[K].Original, &Why))
+            << Why;
+        EXPECT_TRUE(
+            equalResults(*Served.Optimized, *Direct[K].Optimized, &Why))
+            << Why;
+        EXPECT_EQ(toJson(Served.Plan).write(), toJson(Direct[K].Plan).write());
+      }
+      ::close(ClientFd);
+    });
+  Go = true;
+  for (std::thread &T : Threads)
+    T.join();
+
+  Service->drain();
+  SimService::Stats S = Service->stats();
+  EXPECT_EQ(S.Completed, Clients * PerClient);
+  EXPECT_EQ(S.Rejected, 0u);
+  // Each content executes once; every other request is a hit or attach.
+  EXPECT_EQ(S.Cache.Misses, Contents);
+  EXPECT_EQ(S.Cache.Hits + S.SingleflightHits,
+            Clients * PerClient - Contents);
+  EXPECT_GT(S.Cache.Hits, 0u);
 }
 
 TEST(SocketServer, RefusesAlreadyBoundPort) {

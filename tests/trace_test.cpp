@@ -22,6 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 using namespace offchip;
@@ -199,6 +202,30 @@ TEST(Trace, RingCapDropsAreDeterministic) {
             renderChromeTrace(*Second.Trace));
   EXPECT_EQ(renderTimeSeriesCsv(*First.Trace),
             renderTimeSeriesCsv(*Second.Trace));
+}
+
+// writeChromeTrace streams the file chunk by chunk; the bytes must equal
+// the one-string render, across several chunks.
+TEST(Trace, WrittenFileEqualsRender) {
+  MachineConfig C = smallConfig();
+  C.Trace.Enabled = true;
+  C.Trace.MaxEventsPerNode = ~0ull;
+  AppModel App = buildApp("swim", 0.1);
+  ClusterMapping M = makeM1Mapping(C);
+  SimResult R = runVariant(App, C, M, RunVariant::Original);
+  ASSERT_NE(R.Trace, nullptr);
+  std::string Rendered = renderChromeTrace(*R.Trace);
+  EXPECT_GT(Rendered.size(), std::size_t(3) << 20);
+
+  std::string Path = ::testing::TempDir() + "trace_written_file.trace.json";
+  ASSERT_TRUE(writeChromeTrace(*R.Trace, Path));
+  std::ifstream In(Path, std::ios::binary);
+  std::string Written((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+  std::remove(Path.c_str());
+  EXPECT_TRUE(Written == Rendered)
+      << "written " << Written.size() << " bytes, rendered "
+      << Rendered.size();
 }
 
 // The trace-side traffic table is re-derived independently (counted at

@@ -57,8 +57,9 @@ int main(int Argc, char **Argv) {
                 "simulation worker threads (default 0 = all cores)");
   unsigned QueueDepth = 64, CacheEntries = 256;
   Options.value("--queue-depth", &QueueDepth,
-                "admitted-but-unanswered request bound before new requests "
-                "are answered 'overloaded' (default 64)");
+                "bound on requests waiting for or running on a worker "
+                "before new ones are answered 'overloaded'; cache hits "
+                "take no slot (default 64)");
   Options.value("--cache-entries", &CacheEntries,
                 "result cache capacity in entries; 0 disables caching "
                 "(default 256)");
